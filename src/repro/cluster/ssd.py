@@ -112,6 +112,9 @@ class SSDModel:
         # `fluid` tier only: access latency rides as the flow's tail, so
         # an operation costs one event instead of a Timeout plus a flow.
         self._fold = fold_latency and fluid is not None
+        # jitter stream names, built once rather than per operation
+        self._wlat = f"{name}.wlat"
+        self._rlat = f"{name}.rlat"
         self._used = 0
         self._degraded = 1.0
         self.stats = SSDStats()
@@ -198,7 +201,7 @@ class SSDModel:
     def _latency(self, stream: str, base: float) -> float:
         if self.config.jitter_cv == 0.0:
             return base
-        return self._rng.jitter(f"{self.name}.{stream}", base, self.config.jitter_cv)
+        return self._rng.jitter(stream, base, self.config.jitter_cv)
 
     def write(self, nbytes: int):
         """Generator: write ``nbytes``; returns elapsed seconds."""
@@ -207,10 +210,10 @@ class SSDModel:
         start = self.env.now
         if self._fold:
             yield self._write_chan.transfer(
-                nbytes, tail=self._latency("wlat", self.config.write_latency))
+                nbytes, tail=self._latency(self._wlat, self.config.write_latency))
         else:
             yield self.env.timeout(
-                self._latency("wlat", self.config.write_latency))
+                self._latency(self._wlat, self.config.write_latency))
             if nbytes:
                 yield self._write_chan.transfer(nbytes)
         self.stats.writes += 1
@@ -224,10 +227,10 @@ class SSDModel:
         start = self.env.now
         if self._fold:
             yield self._read_chan.transfer(
-                nbytes, tail=self._latency("rlat", self.config.read_latency))
+                nbytes, tail=self._latency(self._rlat, self.config.read_latency))
         else:
             yield self.env.timeout(
-                self._latency("rlat", self.config.read_latency))
+                self._latency(self._rlat, self.config.read_latency))
             if nbytes:
                 yield self._read_chan.transfer(nbytes)
         self.stats.reads += 1

@@ -9,7 +9,7 @@ of the Flux KVS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from repro.errors import KeyNotFound
 from repro.kvs.store import KVS
@@ -41,11 +41,16 @@ class MetadataManager:
     def __init__(self, kvs: KVS, namespace: str = "dyad") -> None:
         self.kvs = kvs
         self.namespace = namespace
+        #: path as passed -> its key; one entry per frame of the run
+        self._keys: Dict[str, str] = {}
 
     def key(self, path: str) -> str:
         """KVS key for a managed path."""
-        norm = normalize(path)
-        return f"{self.namespace}/{_key_hash(norm):08x}"
+        key = self._keys.get(path)
+        if key is None:
+            key = f"{self.namespace}/{_key_hash(normalize(path)):08x}"
+            self._keys[path] = key
+        return key
 
     def publish(self, client: str, path: str, size: int) -> Generator:
         """Generator: commit the ownership record; returns elapsed seconds."""

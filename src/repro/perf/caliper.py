@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import PerfError
-from repro.perf.calltree import CallTree
+from repro.perf.calltree import CallTree, CallTreeNode
 
 __all__ = ["Category", "Annotator", "Caliper"]
 
@@ -44,7 +44,13 @@ class Annotator:
         self.name = name
         self.clock = clock
         self.tree = CallTree(label=name)
-        self._stack: List[Tuple[str, float, Optional[str]]] = []
+        #: open regions as ``(name, start, category, path)``; ``path`` is
+        #: the region's full call path, the key of ``_nodes``
+        self._stack: List[Tuple[str, float, Optional[str],
+                                Tuple[str, ...]]] = []
+        #: call path -> its node in ``tree``, so closing a region does not
+        #: walk the tree from the root
+        self._nodes: Dict[Tuple[str, ...], CallTreeNode] = {}
         #: ``(region, end_time)`` of the most recently closed region —
         #: what a stalled process was last seen finishing (StallError
         #: diagnostics name this, making chaos repros readable).
@@ -57,35 +63,45 @@ class Annotator:
 
     def current_path(self) -> Tuple[str, ...]:
         """Names of the currently open regions, outermost first."""
-        return tuple(name for name, _, _ in self._stack)
+        return self._stack[-1][3] if self._stack else ()
 
     def begin(self, region: str, category: Optional[str] = None) -> None:
         """Open a region. ``category`` defaults to the enclosing region's."""
         if category is not None and category not in Category.ALL:
             raise PerfError(f"unknown category {category!r}")
-        if category is None and self._stack:
-            category = self._stack[-1][2]
-        self._stack.append((region, self.clock(), category))
+        stack = self._stack
+        if stack:
+            top = stack[-1]
+            if category is None:
+                category = top[2]
+            path = top[3] + (region,)
+        else:
+            path = (region,)
+        stack.append((region, self.clock(), category, path))
 
     def end(self, region: str) -> float:
         """Close the innermost region (name-checked); returns its duration."""
-        if not self._stack:
+        stack = self._stack
+        if not stack:
             raise PerfError(f"end({region!r}) with no open region")
-        name, started, category = self._stack.pop()
+        entry = stack.pop()
+        name, started, category, path = entry
         if name != region:
-            self._stack.append((name, started, category))
+            stack.append(entry)
             raise PerfError(
                 f"region mismatch: end({region!r}) while {name!r} is open"
             )
         now = self.clock()
         elapsed = now - started
-        node = self.tree.node(*self.current_path(), name)
+        node = self._nodes.get(path)
+        if node is None:
+            node = self._nodes[path] = self.tree.node(*path)
         if category is not None:
             existing = node.metrics.get("category")
             if existing is not None and existing != category:
                 # A clash must leave the annotator untouched: the stack
                 # as it was, no time/count accumulated on the node.
-                self._stack.append((name, started, category))
+                stack.append(entry)
                 raise PerfError(
                     f"category clash in {name!r}: {existing} != {category}"
                 )

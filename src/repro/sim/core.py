@@ -182,8 +182,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not (delay >= 0):  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         self.env = env
         self.callbacks = []
         self._ok = True
@@ -416,8 +416,8 @@ class Environment:
         is built inline (no ``__init__`` chain) and scheduled directly; the
         trailing defaults pre-bind globals as locals — do not pass them.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not (delay >= 0):  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         timeout = _new(_cls)
         timeout.env = self
         timeout.callbacks = []
@@ -444,8 +444,8 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not (delay >= 0):  # also rejects NaN
+            raise ValueError(f"negative or NaN delay: {delay!r}")
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._heap, (self._now + delay, priority, seq, event))
@@ -486,8 +486,9 @@ class Environment:
         """
         if until is None:
             # Inlined dispatch loop — identical semantics to step(), minus
-            # the per-event method call. Scheduling rejects negative delays,
-            # so the monotonic-clock guard of step() cannot trip here.
+            # the per-event method call. Scheduling rejects negative and
+            # NaN delays, so the monotonic-clock guard of step() cannot
+            # trip here.
             heap = self._heap
             while heap:
                 when, _prio, _seq, event = _heappop(heap)

@@ -10,7 +10,7 @@ are reproducible across platforms.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -24,6 +24,12 @@ class RngStreams:
         self.seed = int(seed)
         self._root = np.random.SeedSequence(self.seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        # jitter hot path: each stream's bound ``lognormal`` (one per
+        # stream) and the lognormal parameters per ``(mean, cv)`` (callers
+        # pass config constants, so a handful); both live as long as
+        # this family, i.e. one run
+        self._lognormal: Dict[str, Callable[..., float]] = {}
+        self._params: Dict[Tuple[float, float], Tuple[float, float]] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for ``name``.
@@ -45,17 +51,28 @@ class RngStreams:
         """One positive sample around ``mean`` with coefficient of variation ``cv``.
 
         Uses a lognormal so samples are strictly positive; ``cv = 0``
-        returns ``mean`` exactly (deterministic mode).
+        returns ``mean`` exactly (deterministic mode). NaN is rejected
+        like a negative value.
         """
-        if mean < 0:
+        if not (mean >= 0):
             raise ValueError(f"mean must be non-negative, got {mean}")
-        if cv < 0:
+        if not (cv >= 0):
             raise ValueError(f"cv must be non-negative, got {cv}")
         if mean == 0.0 or cv == 0.0:
             return mean
-        sigma2 = np.log1p(cv * cv)
-        mu = np.log(mean) - 0.5 * sigma2
-        return float(self.stream(name).lognormal(mu, np.sqrt(sigma2)))
+        params = self._params.get((mean, cv))
+        if params is None:
+            # numpy, not ``math``: these exact float64 results are what
+            # every recorded fingerprint was drawn with
+            sigma2 = np.log1p(cv * cv)
+            params = (np.log(mean) - 0.5 * sigma2, np.sqrt(sigma2))
+            self._params[(mean, cv)] = params
+        draw = self._lognormal.get(name)
+        if draw is None:
+            # bound to the stream's generator, so ``stream(name)`` draws
+            # and these advance the same state in program order
+            draw = self._lognormal[name] = self.stream(name).lognormal
+        return float(draw(*params))
 
     def spawn(self, index: int) -> "RngStreams":
         """Derive an independent child family (one per repetition run)."""

@@ -32,13 +32,19 @@ __all__ = ["FileStat", "FileHandle", "PosixFileSystem", "normalize"]
 
 
 def normalize(path: str) -> str:
-    """Normalize to an absolute, ``/``-separated path."""
+    """Normalize to an absolute, ``/``-separated path.
+
+    Equal to ``posixpath.normpath`` of the path with a ``/`` prefixed when
+    missing. An absolute path with no empty (``//``), dot (``/.``) or
+    trailing-slash component is already canonical and comes back as is.
+    """
     if not path:
         raise StorageError("empty path")
-    if not path.startswith("/"):
+    if path[0] != "/":
         path = "/" + path
-    norm = posixpath.normpath(path)
-    return norm
+    if "//" in path or "/." in path or path[-1] == "/":
+        return posixpath.normpath(path)
+    return path
 
 
 @dataclass
@@ -248,7 +254,12 @@ class PosixFileSystem:
     # -- namespace helpers ------------------------------------------------------
     def _walk(self, path: str) -> Tuple[Optional[_Inode], _Inode, List[str]]:
         """Resolve ``path``; returns (inode_or_None, parent, parts)."""
-        norm = normalize(path)
+        return self._resolve(normalize(path), path)
+
+    def _resolve(self, norm: str, path: str
+                 ) -> Tuple[Optional[_Inode], _Inode, List[str]]:
+        """:meth:`_walk` of the already normalized ``norm`` (``path`` is
+        what the caller passed, for error messages)."""
         if norm == "/":
             return self._root, self._root, []
         parts = norm.strip("/").split("/")
@@ -304,7 +315,8 @@ class PosixFileSystem:
         """
         if mode not in ("r", "r+", "w", "w+", "a", "x"):
             raise StorageError(f"unsupported open mode {mode!r}")
-        inode, parent, parts = self._walk(path)
+        norm = normalize(path)
+        inode, parent, parts = self._resolve(norm, path)
         creating = inode is None
         if inode is not None and inode.is_dir:
             raise IsADirectory(path)
@@ -329,9 +341,9 @@ class PosixFileSystem:
             # A truncating rewrite supersedes any earlier torn/corrupt state.
             inode.intended_size = 0
             inode.corrupt = False
-            self._torn.pop(normalize(path), None)
+            self._torn.pop(norm, None)
         inode.nlink += 1
-        return FileHandle(self, normalize(path), inode, mode, client)
+        return FileHandle(self, norm, inode, mode, client)
 
     def stat(self, path: str, client: Optional[str] = None) -> Generator:
         """Timed stat; returns a :class:`FileStat`.

@@ -28,6 +28,37 @@ def test_negative_timeout_rejected(env):
         env.timeout(-1.0)
 
 
+def test_nan_delay_rejected_at_every_entry_point(env):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        env.timeout(nan)
+    with pytest.raises(ValueError, match="NaN"):
+        Timeout(env, nan)
+    with pytest.raises(ValueError, match="NaN"):
+        env._schedule(env.event(), delay=nan)
+    with pytest.raises(ValueError, match="NaN"):
+        env.event().succeed(delay=nan)
+    assert env.peek() == float("inf")  # nothing reached the heap
+
+
+def test_nan_timeout_cannot_scramble_dispatch_order(env):
+    """A NaN delay used to dispatch 1.0, 2.0, nan, 3.0 for timeouts of
+    2.0, nan, 1.0, 3.0: the clock went to nan and back without an error."""
+    fired = []
+
+    def proc(delay):
+        yield env.timeout(delay)
+        fired.append(env.now)
+
+    env.process(proc(2.0))
+    env.process(proc(float("nan")))
+    env.process(proc(1.0))
+    env.process(proc(3.0))
+    with pytest.raises(ValueError, match="NaN"):
+        env.run()
+    assert fired == []
+
+
 def test_timeout_carries_value(env):
     def proc():
         value = yield env.timeout(1.0, value="payload")

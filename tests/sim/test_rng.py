@@ -64,6 +64,18 @@ def test_jitter_validation(rng):
         rng.jitter("x", 1.0, -0.1)
 
 
+def test_jitter_rejects_nan(rng):
+    with pytest.raises(ValueError, match="mean"):
+        rng.jitter("x", float("nan"), 0.1)
+    with pytest.raises(ValueError, match="cv"):
+        rng.jitter("x", 1.0, float("nan"))
+    # NaN cv with a zero mean, or NaN mean with a zero cv, is still NaN
+    with pytest.raises(ValueError):
+        rng.jitter("x", 0.0, float("nan"))
+    with pytest.raises(ValueError):
+        rng.jitter("x", float("nan"), 0.0)
+
+
 def test_spawn_children_differ():
     root = RngStreams(9)
     c0 = root.spawn(0).stream("s").random(4)
