@@ -20,6 +20,12 @@ commit before the hot-path memos of ``docs/performance.md`` §1, and pins
 the single-node DYAD path (local staging, Caliper regions, per-frame RNG
 streams) that those memos touch most.
 
+The ``sync_*``, ``topo_*`` and ``faulted_*`` cells came last: they were
+recorded by the commit before the workflow driver was folded into one
+graph-driven spawn path, and pin every sync mode and graph shape the
+paper cells above do not reach (stat-polling, the three streaming modes,
+fan-out/fan-in/pool, and faulted streaming and fan-out runs).
+
 Regenerate the fixture (only when a timeline change is *intended*), or
 record only the named cells and leave every other entry as it is::
 
@@ -37,24 +43,35 @@ from repro.experiments.parallel import result_fingerprint
 from repro.experiments.resilience import build_plan
 from repro.md.models import JAC, MODELS
 from repro.workflow.runner import run_workflow
-from repro.workflow.spec import Placement, System, WorkflowSpec
+from repro.workflow.spec import (
+    Placement, SyncMode, System, Topology, WorkflowSpec,
+)
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "kernel_fingerprints.json"
 
 STMV = MODELS[-1]
 
 
-def _resilience_task(system: System, intensity: float = 0.5):
-    placement = (Placement.SINGLE_NODE if system is System.XFS
-                 else Placement.SPLIT)
-    spec = WorkflowSpec(system=system, frames=8, pairs=4,
-                        placement=placement)
+def _placement(system: System) -> Placement:
+    return Placement.SINGLE_NODE if system is System.XFS else Placement.SPLIT
+
+
+def _resilience_task(system: System, intensity: float = 0.5, **shape):
+    spec = WorkflowSpec(system=system, frames=8,
+                        placement=_placement(system), **(shape or {"pairs": 4}))
     plan, dyad_config = build_plan(system, intensity, spec)
     kwargs = {"spec": spec, "seed": 11, "jitter_cv": 0.05,
               "fault_plan": plan}
     if dyad_config is not None:
         kwargs["dyad_config"] = dyad_config
     return kwargs
+
+
+def _cell(system: System, jitter_cv: float = 0.05, **shape):
+    """A small sync-mode or topology cell (8 frames, seed 13)."""
+    spec = WorkflowSpec(system=system, frames=8,
+                        placement=_placement(system), **shape)
+    return dict(spec=spec, seed=13, jitter_cv=jitter_cv)
 
 
 def tasks():
@@ -91,6 +108,32 @@ def tasks():
         "resilience_dyad_i50": _resilience_task(System.DYAD),
         "resilience_xfs_i50": _resilience_task(System.XFS),
         "resilience_lustre_i50": _resilience_task(System.LUSTRE),
+        "sync_xfs_polling_4pairs": _cell(
+            System.XFS, pairs=4, sync_mode=SyncMode.POLLING),
+        "sync_dyad_windowed_4pairs": _cell(
+            System.DYAD, pairs=4, sync_mode=SyncMode.WINDOWED, window=3),
+        "sync_lustre_pubsub_4pairs": _cell(
+            System.LUSTRE, pairs=4, sync_mode=SyncMode.PUBSUB),
+        "sync_xfs_nbuffer_4pairs": _cell(
+            System.XFS, pairs=4, sync_mode=SyncMode.NBUFFER),
+        "topo_dyad_fanout_coarse": _cell(
+            System.DYAD, topology=Topology.FANOUT, consumers=4),
+        "topo_lustre_fanout_windowed": _cell(
+            System.LUSTRE, topology=Topology.FANOUT, consumers=4,
+            sync_mode=SyncMode.WINDOWED),
+        "topo_xfs_fanin_polling": _cell(
+            System.XFS, topology=Topology.FANIN, producers=4,
+            sync_mode=SyncMode.POLLING),
+        "topo_dyad_pool_pubsub": _cell(
+            System.DYAD, topology=Topology.POOL, producers=3, consumers=2,
+            sync_mode=SyncMode.PUBSUB),
+        "topo_lustre_pool_lockstep": _cell(
+            System.LUSTRE, jitter_cv=0.0, topology=Topology.POOL,
+            producers=3, consumers=2),
+        "faulted_dyad_windowed_i50": _resilience_task(
+            System.DYAD, pairs=4, sync_mode=SyncMode.WINDOWED),
+        "faulted_lustre_fanout_i50": _resilience_task(
+            System.LUSTRE, topology=Topology.FANOUT, consumers=4),
     }
 
 
