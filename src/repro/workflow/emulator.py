@@ -15,7 +15,15 @@ The emulation follows the paper exactly (Section IV-C):
   already waiting) never blocks;
 - with DYAD, producer and consumer run pipelined, and synchronization is
   DYAD's automatic multi-protocol mechanism (KVS watch on first touch,
-  flock fast path after).
+  flock fast path after);
+- the streaming modes (``windowed``/``pubsub``/``nbuffer``, see
+  :mod:`repro.workflow.streaming`) add a bounded credit window per
+  producer→consumer edge on top, for every system.
+
+Each of the five bodies serves every graph shape of
+:class:`~repro.workflow.topology.TopologySetup`: a producer writes its
+stream through its out-edge channels; a consumer walks a read schedule
+of ``(stream, frame)`` groups, one analytics sleep per group.
 
 Region names match the paper's Figs. 9-10 call trees
 (``dyad_consume/dyad_fetch/dyad_get_data/dyad_cons_store``,
@@ -25,18 +33,24 @@ Region names match the paper's Figs. 9-10 call trees
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Iterable, List, Optional
 
 from repro.dyad.client import DyadConsumerClient, DyadProducerClient
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.invariants import InvariantChecker
+from repro.errors import FileNotFound
 from repro.perf.caliper import Annotator, Category
 from repro.sim.core import Environment
 from repro.sim.resources import Signal
 from repro.sim.rng import RngStreams
 from repro.storage.posixfs import PosixFileSystem
 from repro.workflow.spec import SyncMode, WorkflowSpec
+from repro.workflow.streaming import (
+    BACKPRESSURE_REGION, STREAM_WAIT_REGION, StreamChannel, stream_key,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.invariants import InvariantChecker
+    from repro.kvs.store import KVS
+    from repro.workflow.topology import Group
 
 
 class ComputeModel:
@@ -69,8 +83,6 @@ class ComputeModel:
         return self.rng.jitter(stream, mean, self.cv)
 
 
-_EXACT = ComputeModel()
-
 __all__ = [
     "ComputeModel",
     "dyad_producer",
@@ -97,6 +109,30 @@ def frame_path(root: str, pair: int, frame: int) -> str:
     return f"{root}/pair{pair:04d}/frame{frame:05d}.mdfr"
 
 
+def _analyze(env: Environment, spec: WorkflowSpec, annotator: Annotator,
+             compute: ComputeModel, key: str) -> Generator:
+    """The consumer's analytics sleep after one schedule group."""
+    annotator.begin("analytics_sleep", Category.COMPUTE)
+    yield env.timeout(compute.sample(key, spec.analytics_time))
+    annotator.end("analytics_sleep")
+
+
+def _md_step(env: Environment, spec: WorkflowSpec, annotator: Annotator,
+             compute: ComputeModel, key: str, frame: int,
+             channels: List[StreamChannel]) -> Generator:
+    """MD sleep, then (streaming) a credit on every out-edge channel."""
+    annotator.begin("md_sleep", Category.COMPUTE)
+    yield env.timeout(compute.sample(f"{key}.frame{frame}", spec.stride_time))
+    annotator.end("md_sleep")
+    if channels:
+        # A fan-out producer must hold a credit on every consumer's
+        # channel: the slowest consumer applies the backpressure.
+        annotator.begin(BACKPRESSURE_REGION, Category.IDLE)
+        for channel in channels:
+            yield from channel.acquire_credit(frame)
+        annotator.end(BACKPRESSURE_REGION)
+
+
 # ---------------------------------------------------------------------------
 # DYAD workflow: concurrent, pipelined, automatic synchronization.
 # ---------------------------------------------------------------------------
@@ -107,26 +143,31 @@ def dyad_producer(
     spec: WorkflowSpec,
     client: DyadProducerClient,
     annotator: Annotator,
-    pair: int,
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
+    stream: int,
+    key: str,
+    channels: List[StreamChannel],
+    compute: ComputeModel,
+    checker: "InvariantChecker",
 ) -> Generator:
-    """Generator: MD-sleep then produce, ``spec.frames`` times."""
+    """Generator: MD-sleep then produce frame *k* of ``stream``,
+    ``spec.frames`` times; ``key`` prefixes the MD sleeps' RNG streams.
+
+    In the streaming modes ``channels`` are the out-edge windows: a
+    credit on each before the write, a publish on each after it.
+    """
     root = client.runtime.config.managed_root
+    role = f"producer{stream}"
     for k in range(spec.frames):
-        annotator.begin("md_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.stride_time))
-        annotator.end("md_sleep")
+        yield from _md_step(env, spec, annotator, compute, key, k, channels)
         yield from client.produce(
-            frame_path(root, pair, k), spec.frame_bytes, annotator=annotator
+            frame_path(root, stream, k), spec.frame_bytes, annotator=annotator
         )
-        if checker is not None:
-            # The commit instant is the KVS publish (which a stale_metadata
-            # window moves ahead of the staged bytes).
-            checker.frame_committed(
-                f"producer{pair}", pair, k, spec.frame_bytes,
-                at=client.last_commit_time,
-            )
+        # The commit instant is the KVS publish (which a stale_metadata
+        # window moves ahead of the staged bytes).
+        checker.frame_committed(role, stream, k, spec.frame_bytes,
+                                at=client.last_commit_time)
+        for channel in channels:
+            channel.publish(k)
 
 
 def dyad_consumer(
@@ -134,27 +175,53 @@ def dyad_consumer(
     spec: WorkflowSpec,
     client: DyadConsumerClient,
     annotator: Annotator,
-    pair: int,
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
+    role: str,
+    schedule: Iterable[Group],
+    channels: Dict[int, StreamChannel],
+    compute: ComputeModel,
+    checker: "InvariantChecker",
 ) -> Generator:
-    """Generator: consume then analytics-sleep, ``spec.frames`` times."""
+    """Generator: consume each group of ``schedule``, then analytics-sleep.
+
+    DYAD's KVS is the discovery plane in every sync mode; streaming only
+    adds the in-edge credit returns (``channels``: stream → channel), and
+    ``pubsub`` subscribes (arms the watch) for every frame instead of
+    lookup-then-watch.
+    """
     root = client.runtime.config.managed_root
-    for k in range(spec.frames):
-        yield from client.consume(frame_path(root, pair, k), annotator=annotator)
-        if checker is not None:
+    subscribe = spec.sync_mode is SyncMode.PUBSUB
+    for tasks, key in schedule:
+        for s, k in tasks:
+            yield from client.consume(frame_path(root, s, k),
+                                      annotator=annotator, subscribe=subscribe)
             checker.frame_consumed(
-                f"consumer{pair}", pair, k, spec.frame_bytes,
+                role, s, k, spec.frame_bytes,
                 client.last_consume_bytes, client.last_consume_corrupt,
             )
-        annotator.begin("analytics_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.analytics_time))
-        annotator.end("analytics_sleep")
+            if channels:
+                channels[s].release_credit(k)
+        yield from _analyze(env, spec, annotator, compute, key)
 
 
 # ---------------------------------------------------------------------------
-# Traditional POSIX workflow (XFS / Lustre): coarse-grained manual sync.
+# Traditional POSIX workflow (XFS / Lustre): manual or streaming sync.
 # ---------------------------------------------------------------------------
+
+
+def _posix_read(spec: WorkflowSpec, fs: PosixFileSystem, node_id: str,
+                annotator: Annotator, role: str, stream: int, frame: int,
+                checker: "InvariantChecker", root: str) -> Generator:
+    """Open, read, and close one frame, then record its consumption."""
+    path = frame_path(root, stream, frame)
+    annotator.begin(READ_REGION, Category.MOVEMENT)
+    handle = yield from fs.open(path, "r", client=node_id)
+    try:
+        count, _payload = yield from handle.read()
+    finally:
+        yield from handle.close()
+    annotator.end(READ_REGION)
+    checker.frame_consumed(role, stream, frame, spec.frame_bytes, count,
+                           fs.is_corrupt(path))
 
 
 def posix_producer(
@@ -162,37 +229,48 @@ def posix_producer(
     spec: WorkflowSpec,
     fs: PosixFileSystem,
     node_id: str,
-    barrier: Signal,
     annotator: Annotator,
-    pair: int,
+    stream: int,
+    key: str,
+    channels: List[StreamChannel],
+    broker: Optional[KVS],
+    barrier: Optional[Signal],
+    compute: ComputeModel,
+    checker: "InvariantChecker",
     root: str = "/data",
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
 ) -> Generator:
-    """Generator: produce all frames, then release the pair barrier.
+    """Generator: produce every frame of ``stream``, then release
+    ``barrier`` (coarse/polling).
 
-    The producer never waits: by the time it finishes, its consumer is
-    already parked in the barrier (matching the paper's observation that
-    producers show no significant idle time).
+    The coarse producer never waits: by the time it finishes, its
+    consumers are already parked in the barrier (matching the paper's
+    observation that producers show no significant idle time). In the
+    streaming modes the producer holds a credit per out-edge channel and
+    publishes each frame on them — and, under ``pubsub``, commits it on
+    the ``broker`` control plane first.
     """
+    role = f"producer{stream}"
     for k in range(spec.frames):
-        annotator.begin("md_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.stride_time))
-        annotator.end("md_sleep")
+        yield from _md_step(env, spec, annotator, compute, key, k, channels)
         annotator.begin(WRITE_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(frame_path(root, pair, k), "w", client=node_id)
+        handle = yield from fs.open(frame_path(root, stream, k), "w",
+                                    client=node_id)
         try:
             yield from handle.write(spec.frame_bytes)
-            if checker is not None:
-                # Data is fully visible once the write lands (a polling
-                # consumer may legally read before close completes).
-                checker.frame_committed(
-                    f"producer{pair}", pair, k, spec.frame_bytes
-                )
+            # Data is fully visible once the write lands (a polling
+            # consumer may legally read before close completes).
+            checker.frame_committed(role, stream, k, spec.frame_bytes)
         finally:
             yield from handle.close()
         annotator.end(WRITE_REGION)
-    barrier.fire_once(env.now)
+        if broker is not None:
+            # Per-frame commit on the control plane (one RPC).
+            yield from broker.commit(node_id, stream_key(stream, k),
+                                     spec.frame_bytes)
+        for channel in channels:
+            channel.publish(k)
+    if barrier is not None:
+        barrier.fire_once(env.now)
 
 
 def posix_consumer(
@@ -200,39 +278,43 @@ def posix_consumer(
     spec: WorkflowSpec,
     fs: PosixFileSystem,
     node_id: str,
-    barrier: Signal,
     annotator: Annotator,
-    pair: int,
+    role: str,
+    schedule: Iterable[Group],
+    barriers: List[Signal],
+    channels: Dict[int, StreamChannel],
+    broker: Optional[KVS],
+    compute: ComputeModel,
+    checker: "InvariantChecker",
     root: str = "/data",
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
 ) -> Generator:
-    """Generator: wait for the producer phase, then read + analyze each frame."""
-    annotator.begin(SYNC_REGION, Category.IDLE)
-    yield barrier.wait()
-    annotator.end(SYNC_REGION)
-    for k in range(spec.frames):
-        path = frame_path(root, pair, k)
-        annotator.begin(READ_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(path, "r", client=node_id)
-        try:
-            count, _payload = yield from handle.read()
-        finally:
-            yield from handle.close()
-        annotator.end(READ_REGION)
-        if checker is not None:
-            checker.frame_consumed(
-                f"consumer{pair}", pair, k, spec.frame_bytes, count,
-                fs.is_corrupt(path),
-            )
-        elif count != spec.frame_bytes:
-            raise AssertionError(
-                f"pair {pair} frame {k}: read {count} bytes, "
-                f"expected {spec.frame_bytes}"
-            )
-        annotator.begin("analytics_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.analytics_time))
-        annotator.end("analytics_sleep")
+    """Generator: wait for the producer phase, then read + analyze.
+
+    Coarse sync parks once on every producer's ``barriers`` before the
+    first read. In the streaming modes each frame is awaited instead: on
+    its in-edge channel (``windowed``/``nbuffer``, SST-style side
+    channel) or on the ``broker`` (``pubsub``), and its credit returns
+    once read.
+    """
+    if barriers:
+        annotator.begin(SYNC_REGION, Category.IDLE)
+        for barrier in barriers:
+            yield barrier.wait()
+        annotator.end(SYNC_REGION)
+    for tasks, key in schedule:
+        for s, k in tasks:
+            if channels:
+                annotator.begin(STREAM_WAIT_REGION, Category.IDLE)
+                if broker is not None:
+                    yield from broker.wait_for(node_id, stream_key(s, k))
+                else:
+                    yield from channels[s].wait_frame(k)
+                annotator.end(STREAM_WAIT_REGION)
+            yield from _posix_read(spec, fs, node_id, annotator, role, s, k,
+                                   checker, root)
+            if channels:
+                channels[s].release_credit(k)
+        yield from _analyze(env, spec, annotator, compute, key)
 
 
 def posix_consumer_polling(
@@ -241,10 +323,11 @@ def posix_consumer_polling(
     fs: PosixFileSystem,
     node_id: str,
     annotator: Annotator,
-    pair: int,
+    role: str,
+    schedule: Iterable[Group],
+    compute: ComputeModel,
+    checker: "InvariantChecker",
     root: str = "/data",
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
 ) -> Generator:
     """Generator: Pegasus-style polling consumer (fine-grained manual sync).
 
@@ -261,39 +344,21 @@ def posix_consumer_polling(
     consecutive polls to report the same version, which is why discovery
     costs at least one full poll interval after creation.
     """
-    from repro.errors import FileNotFound
-
-    for k in range(spec.frames):
-        path = frame_path(root, pair, k)
-        annotator.begin(POLL_REGION, Category.IDLE)
-        last_version = None
-        while True:
-            try:
-                st = yield from fs.stat(path, client=node_id)
-            except FileNotFound:
-                st = None
-            if st is not None and st.version == last_version:
-                break  # two consecutive identical observations: stable
-            last_version = st.version if st is not None else None
-            yield env.timeout(spec.poll_interval)
-        annotator.end(POLL_REGION)
-        annotator.begin(READ_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(path, "r", client=node_id)
-        try:
-            count, _payload = yield from handle.read()
-        finally:
-            yield from handle.close()
-        annotator.end(READ_REGION)
-        if checker is not None:
-            checker.frame_consumed(
-                f"consumer{pair}", pair, k, spec.frame_bytes, count,
-                fs.is_corrupt(path),
-            )
-        elif count != spec.frame_bytes:
-            raise AssertionError(
-                f"pair {pair} frame {k}: read {count} bytes, "
-                f"expected {spec.frame_bytes}"
-            )
-        annotator.begin("analytics_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.analytics_time))
-        annotator.end("analytics_sleep")
+    for tasks, key in schedule:
+        for s, k in tasks:
+            path = frame_path(root, s, k)
+            annotator.begin(POLL_REGION, Category.IDLE)
+            last_version = None
+            while True:
+                try:
+                    st = yield from fs.stat(path, client=node_id)
+                except FileNotFound:
+                    st = None
+                if st is not None and st.version == last_version:
+                    break  # two consecutive identical observations: stable
+                last_version = st.version if st is not None else None
+                yield env.timeout(spec.poll_interval)
+            annotator.end(POLL_REGION)
+            yield from _posix_read(spec, fs, node_id, annotator, role, s, k,
+                                   checker, root)
+        yield from _analyze(env, spec, annotator, compute, key)

@@ -1,12 +1,17 @@
-"""Workflow orchestration: build, run, and summarize one configuration.
+"""Workflow orchestration: build, spawn, run, and collect one configuration.
 
-:func:`run_workflow` assembles a Corona-like cluster sized for the spec,
-instantiates the system under test (DYAD runtime, an XFS mount, or Lustre
-servers + client FS), spawns one producer and one consumer process per
-pair with Caliper annotation, runs the simulation to completion, and
-returns a :class:`WorkflowResult` with the per-process call trees and the
-paper's headline metrics (per-frame production/consumption time split into
-data movement and idle).
+:func:`run_workflow` assembles a Corona-like cluster sized for the spec
+and the run's workflow graph (:class:`~repro.workflow.topology.
+TopologySetup`: pairwise is K disjoint 1:1 edges), instantiates the
+system under test (DYAD runtime, an XFS mount, or Lustre servers +
+client FS), and spawns every graph process with Caliper annotation
+through one per-system spawner (:func:`_spawn_dyad` /
+:func:`_spawn_posix`) driving the five :mod:`~repro.workflow.emulator`
+bodies. It then runs the simulation to completion, checks completion,
+recovery, and drain once for every shape and sync mode, and returns a
+:class:`WorkflowResult` with the per-process call trees and the paper's
+headline metrics (per-frame production/consumption time split into data
+movement and idle).
 
 :func:`run_repetitions` repeats a spec with different seeds (the paper
 runs every configuration 10 times) and returns the list of results.
@@ -36,9 +41,7 @@ from repro.sim.resources import Signal, channel_health
 from repro.storage.lustre import LustreConfig, LustreFileSystem, LustreServers
 from repro.storage.xfs import XFSConfig, XFSFileSystem
 from repro.workflow import emulator, streaming, topology
-from repro.workflow.spec import (
-    Placement, SyncMode, System, Topology, WorkflowSpec,
-)
+from repro.workflow.spec import SyncMode, System, WorkflowSpec
 
 __all__ = ["WorkflowResult", "run_workflow", "run_repetitions"]
 
@@ -189,8 +192,6 @@ def run_workflow(
     timeline = MetricsTimeline(clock=lambda: env.now) if metrics else None
     caliper = Caliper(clock=lambda: env.now)
     annotate = tracer.annotator if tracer else caliper.annotator
-    topology_run = spec.topology is not Topology.PAIRWISE
-    placements = None if topology_run else spec.placements()
 
     producer_anns = [
         annotate(f"producer{p:04d}") for p in range(spec.n_producers)
@@ -198,23 +199,11 @@ def run_workflow(
     consumer_anns = [
         annotate(f"consumer{p:04d}") for p in range(spec.n_consumers)
     ]
-
-    # claim one GPU per process, as the paper's placement does
-    if topology_run:
-        for n in spec.producer_nodes() + spec.consumer_nodes():
-            cluster.node(n).claim_gpu()
-    else:
-        for (pn, cn) in placements:
-            cluster.node(pn).claim_gpu()
-            cluster.node(cn).claim_gpu()
+    graph = topology.TopologySetup.build(spec, cluster, checker)
 
     runtime = None
     servers = None
     fs = None
-    topo = None  # TopologySetup for the non-pairwise graph shapes
-    streams = None  # StreamingSetup for the windowed/pubsub/nbuffer modes
-    consumers: List = []
-    processes: List = []  # (role, Process) for stall diagnostics
     if spec.system is System.DYAD:
         config = dyad_config
         if fault_plan is not None and fault_plan.transfer_fault_rate > 0.0:
@@ -226,94 +215,19 @@ def run_workflow(
                 fault_rate=fault_plan.transfer_fault_rate,
             )
         runtime = DyadRuntime(cluster, config=config)
-        if topology_run:
-            topo = topology.spawn_topology(
-                env, spec, cluster, producer_anns, consumer_anns, compute,
-                checker=checker, runtime=runtime,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-        elif spec.is_streaming:
-            streams = streaming.spawn_streaming(
-                env, spec, cluster, placements, producer_anns, consumer_anns,
-                compute, checker=checker, runtime=runtime,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-            processes = streams.processes
-            consumers = streams.consumers
-        else:
-            for pair, (pn, cn) in enumerate(placements):
-                producer = runtime.producer(
-                    cluster.node(pn).node_id, f"prod{pair}"
-                )
-                consumer = runtime.consumer(
-                    cluster.node(cn).node_id, f"cons{pair}"
-                )
-                consumers.append(consumer)
-                processes.append((f"producer{pair}", env.process(
-                    emulator.dyad_producer(
-                        env, spec, producer, producer_anns[pair], pair,
-                        compute, checker=checker,
-                    )
-                )))
-                processes.append((f"consumer{pair}", env.process(
-                    emulator.dyad_consumer(
-                        env, spec, consumer, consumer_anns[pair], pair,
-                        compute, checker=checker,
-                    )
-                )))
     elif spec.system is System.XFS:
         fs = XFSFileSystem(cluster.node(0), config=xfs_config)
-        fs.makedirs("/data")
-        if topology_run:
-            topo = topology.spawn_topology(
-                env, spec, cluster, producer_anns, consumer_anns, compute,
-                checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-        elif spec.is_streaming:
-            streams = streaming.spawn_streaming(
-                env, spec, cluster, placements, producer_anns, consumer_anns,
-                compute, checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-            processes = streams.processes
-        else:
-            processes = _spawn_posix(
-                env, spec, fs, cluster, placements, producer_anns,
-                consumer_anns, compute, checker,
-            )
     elif spec.system is System.LUSTRE:
         servers = LustreServers(env, cluster.fabric, lustre_config, cluster.rng)
         fs = LustreFileSystem(servers)
-        fs.makedirs("/data")
-        if topology_run:
-            topo = topology.spawn_topology(
-                env, spec, cluster, producer_anns, consumer_anns, compute,
-                checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-        elif spec.is_streaming:
-            streams = streaming.spawn_streaming(
-                env, spec, cluster, placements, producer_anns, consumer_anns,
-                compute, checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-            processes = streams.processes
-        else:
-            processes = _spawn_posix(
-                env, spec, fs, cluster, placements, producer_anns,
-                consumer_anns, compute, checker,
-            )
     else:  # pragma: no cover - enum is exhaustive
         raise WorkflowError(f"unknown system {spec.system!r}")
-
-    if topo is not None:
-        processes = topo.processes
-        consumers = topo.consumers
-        if spec.is_streaming:
-            # TopologySetup duck-types StreamingSetup where the rest of
-            # the run reads it (.channels / .broker / .processes).
-            streams = topo
+    if runtime is not None:
+        _spawn_dyad(env, graph, runtime, producer_anns, consumer_anns,
+                    compute, checker)
+    else:
+        _spawn_posix(env, graph, fs, producer_anns, consumer_anns, compute,
+                     checker)
 
     if timeline is not None:
         # Attach probes after every substrate exists but before the first
@@ -335,7 +249,7 @@ def run_workflow(
     def _stuck_detail() -> List[str]:
         """Describe each stuck process by the last event it completed."""
         parts = []
-        for role, proc in processes:
+        for role, proc in graph.processes:
             if not proc.is_alive:
                 continue
             last = getattr(ann_by_role.get(role), "last_completed", None)
@@ -350,32 +264,20 @@ def run_workflow(
     injector = None
     if fault_plan is None:
         env.run()
-        if streams is not None:
-            # Streaming can deadlock without any fault (a mis-tuned window
-            # against a consumer that never returns a credit), and run()
-            # silently drains the heap in that case. Name the flow-control
-            # cycle — who holds which credit, which watch is armed —
-            # instead of returning a short makespan.
-            streaming.raise_if_stalled(
-                env, processes, streams.channels,
-                "fault-free run drained the heap",
-            )
+        reason = "fault-free run drained the heap"
     else:
         from repro.faults.inject import FaultInjector
 
         injector = FaultInjector(
             fault_plan, cluster, dyad=runtime, lustre=servers, fs=fs,
-            metrics=timeline,
-            streams=streams.channels if streams is not None else None,
-            brokers=[streams.broker]
-            if streams is not None and streams.broker is not None else None,
+            metrics=timeline, streams=graph.channels,
+            brokers=[graph.broker] if graph.broker is not None else None,
         )
         injector.start()
         guard_detail = None
-        if streams is not None:
+        if graph.channels:
             guard_detail = lambda: (  # noqa: E731 - one-shot diagnosis hook
-                "window state: "
-                + streaming.flow_occupancy(streams.channels)
+                "window state: " + streaming.flow_occupancy(graph.channels)
             )
         try:
             env.run_guarded(
@@ -392,40 +294,20 @@ def run_workflow(
                     f"{err} — stuck: {'; '.join(detail)}"
                 ) from None
             raise
-        # The guarded loop returning is necessary but not sufficient: a
-        # recovery deadlock (e.g. a consumer parked on a link that never
-        # came back) drains the heap with processes still waiting, which
-        # run() would silently accept and report as a short makespan.
-        stuck = _stuck_detail()
-        if stuck:
-            flow = ""
-            if streams is not None:
-                flow = (" — window state: "
-                        + streaming.flow_occupancy(streams.channels))
-            raise StallError(
-                f"workflow ended at t={env.now:.6g}s with "
-                f"{len(stuck)} process(es) still waiting: "
-                f"{'; '.join(stuck)} — the fault plan's recovery never "
-                f"completed{flow}"
-            )
-        # Recovery correctness: every frame must have arrived despite the
-        # injected faults (the retry loop re-requests lost frames).
-        if topo is not None:
-            errors = topo.recovery_errors()
-            if errors:
-                raise WorkflowError(
-                    "; ".join(errors)
-                    + " — recovery accounting is inconsistent"
-                )
-        else:
-            for pair, consumer in enumerate(consumers):
-                got = consumer.fast_hits + consumer.kvs_waits
-                if got != spec.frames:
-                    raise WorkflowError(
-                        f"consumer{pair} completed {got} of {spec.frames} "
-                        "frames despite finishing — recovery accounting is "
-                        "inconsistent"
-                    )
+        reason = "the fault plan's recovery never completed"
+    # Completion: run() returning is necessary but not sufficient. A
+    # flow-control cycle (a mis-tuned window against a consumer that never
+    # returns a credit) or a recovery deadlock (a consumer parked on a
+    # link that never came back) drains the heap with processes still
+    # waiting, which would otherwise read as a short makespan.
+    streaming.raise_if_stalled(env, _stuck_detail(), graph.channels, reason)
+    # Recovery: every consumer that finished read every frame it was
+    # scheduled (the retry loop re-requests frames lost to faults).
+    errors = graph.recovery_errors()
+    if errors:
+        raise WorkflowError(
+            "; ".join(errors) + " — recovery accounting is inconsistent"
+        )
     fabric = cluster.fabric
     system_stats = {
         "fabric_transfers": float(fabric.stats.transfers),
@@ -464,8 +346,9 @@ def run_workflow(
     else:
         system_stats["fluid_epochs"] = 0.0
         system_stats["rate_solves"] = 0.0
-    # End-of-run invariants: no leaked locks or in-flight flows, and every
-    # consumer drained its full frame sequence.
+    # Drain: no leaked locks or in-flight flows; (streaming) credits home,
+    # no armed watches, nothing published-but-undelivered, no deferred
+    # credit returns; every consumer drained its full read schedule.
     lock_tables = []
     if fs is not None:
         lock_tables.append(fs.locks)
@@ -474,20 +357,12 @@ def run_workflow(
             s.staging.locks for s in runtime.services.values()
         )
     checker.check_drain(lock_tables, channels)
-    if streams is not None:
-        # Flow-control drain: credits home, no armed watches, nothing
-        # published-but-undelivered, no deferred credit returns.
-        checker.check_stream_drain(streams.channels)
-    if topo is not None:
-        topo.check_complete(checker)
-    else:
-        checker.check_complete(
-            {f"consumer{p}": p for p in range(spec.pairs)}, spec.frames
-        )
+    checker.check_stream_drain(graph.channels)
+    graph.check_complete(checker)
     system_stats["invariant_checks"] = float(checker.checks)
     system_stats["invariant_violations"] = float(checker.violation_count)
-    if streams is not None:
-        chans = streams.channels
+    if graph.channels:
+        chans = graph.channels
         system_stats.update({
             "stream_window": float(spec.effective_window),
             "stream_credits_issued": float(
@@ -518,18 +393,20 @@ def run_workflow(
                 sum(c.deferred_return_count for c in chans)
             ),
         })
-        if streams.broker is not None:
+        broker = graph.broker
+        if broker is not None:
             system_stats.update({
-                "stream_broker_commits": float(streams.broker.stats.commits),
-                "stream_broker_watches": float(streams.broker.stats.watches),
+                "stream_broker_commits": float(broker.stats.commits),
+                "stream_broker_watches": float(broker.stats.watches),
                 "stream_broker_dropped_watches": float(
-                    streams.broker.stats.dropped_watches
+                    broker.stats.dropped_watches
                 ),
                 "stream_broker_lost_wakeups": float(
-                    streams.broker.stats.lost_wakeups
+                    broker.stats.lost_wakeups
                 ),
             })
     if runtime is not None:
+        consumers = graph.consumers
         system_stats.update({
             "dyad_kvs_waits": float(sum(c.kvs_waits for c in consumers)),
             "dyad_fast_hits": float(sum(c.fast_hits for c in consumers)),
@@ -550,12 +427,12 @@ def run_workflow(
             "dyad_dropped_watches": float(runtime.kvs.stats.dropped_watches),
             "dyad_lost_wakeups": float(runtime.kvs.stats.lost_wakeups),
         })
-    if topo is not None and topo.queue is not None:
-        claimed = topo.queue.per_worker()
+    if graph.queue is not None:
+        claimed = graph.queue.per_worker()
         loads = [claimed.get(f"consumer{j}", 0)
                  for j in range(spec.consumers)]
         system_stats.update({
-            "pool_tasks_total": float(topo.queue.total),
+            "pool_tasks_total": float(graph.queue.total),
             "pool_workers": float(spec.consumers),
             "pool_max_claimed": float(max(loads)),
             "pool_min_claimed": float(min(loads)),
@@ -577,41 +454,72 @@ def run_workflow(
     )
 
 
-def _spawn_posix(env, spec, fs, cluster, placements, producer_anns, consumer_anns,
-                 compute, checker):
-    """Spawn traditional producer/consumer pairs with per-pair barriers.
-
-    The subdirectory tree is created up front (the paper's harness sets up
-    its staging directories before the timed phase). Returns the spawned
-    ``(role, Process)`` pairs for stall diagnostics."""
-    processes = []
-    for pair in range(spec.pairs):
-        fs.makedirs(f"/data/pair{pair:04d}")
-    for pair, (pn, cn) in enumerate(placements):
-        barrier = Signal(env)
-        processes.append((f"producer{pair}", env.process(
-            emulator.posix_producer(
-                env, spec, fs, cluster.node(pn).node_id, barrier,
-                producer_anns[pair], pair, compute=compute, checker=checker,
+def _spawn_dyad(env, graph, runtime, producer_anns, consumer_anns, compute,
+                checker):
+    """Start a DYAD client and process body per graph process: every
+    producer first, then every consumer."""
+    spec = graph.spec
+    for i, node_id in enumerate(graph.producer_nodes):
+        client = runtime.producer(node_id, f"prod{i}")
+        graph.processes.append((f"producer{i}", env.process(
+            emulator.dyad_producer(
+                env, spec, client, producer_anns[i], i,
+                graph.producer_key(i), graph.out_channels(i), compute,
+                checker,
             )
         )))
+    for j, node_id in enumerate(graph.consumer_nodes):
+        client = runtime.consumer(node_id, f"cons{j}")
+        graph.consumers.append(client)
+        graph.processes.append((f"consumer{j}", env.process(
+            emulator.dyad_consumer(
+                env, spec, client, consumer_anns[j], f"consumer{j}",
+                graph.schedule(j), graph.in_channels(j), compute, checker,
+            )
+        )))
+
+
+def _spawn_posix(env, graph, fs, producer_anns, consumer_anns, compute,
+                 checker):
+    """Start the XFS/Lustre process bodies: every producer first, then
+    every consumer.
+
+    The staging tree is created up front (the paper's harness sets up its
+    directories before the timed phase). Under coarse and polling sync
+    each producer fires a phase barrier when done; a coarse consumer
+    parks on the barriers of every stream it reads."""
+    spec = graph.spec
+    fs.makedirs("/data")
+    for s in range(spec.streams):
+        fs.makedirs(f"/data/pair{s:04d}")
+    barriers = []
+    for i, node_id in enumerate(graph.producer_nodes):
+        barrier = None if spec.is_streaming else Signal(env)
+        barriers.append(barrier)
+        graph.processes.append((f"producer{i}", env.process(
+            emulator.posix_producer(
+                env, spec, fs, node_id, producer_anns[i], i,
+                graph.producer_key(i), graph.out_channels(i), graph.broker,
+                barrier, compute, checker,
+            )
+        )))
+    for j, node_id in enumerate(graph.consumer_nodes):
+        role = f"consumer{j}"
         if spec.sync_mode is SyncMode.POLLING:
-            processes.append((f"consumer{pair}", env.process(
-                emulator.posix_consumer_polling(
-                    env, spec, fs, cluster.node(cn).node_id,
-                    consumer_anns[pair], pair, compute=compute,
-                    checker=checker,
-                )
-            )))
+            body = emulator.posix_consumer_polling(
+                env, spec, fs, node_id, consumer_anns[j], role,
+                graph.schedule(j), compute, checker,
+            )
         else:
-            processes.append((f"consumer{pair}", env.process(
-                emulator.posix_consumer(
-                    env, spec, fs, cluster.node(cn).node_id, barrier,
-                    consumer_anns[pair], pair, compute=compute,
-                    checker=checker,
-                )
-            )))
-    return processes
+            waits = [] if spec.is_streaming else [
+                barriers[s] for s in graph.in_streams(j)
+            ]
+            body = emulator.posix_consumer(
+                env, spec, fs, node_id, consumer_anns[j], role,
+                graph.schedule(j), waits, graph.in_channels(j),
+                graph.broker, compute, checker,
+            )
+        graph.processes.append((role, env.process(body)))
 
 
 def run_repetitions(

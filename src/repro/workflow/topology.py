@@ -1,8 +1,9 @@
-"""Non-pairwise workflow topologies: fan-out, fan-in, work-stealing pool.
+"""The run's workflow graph: processes, edges, and read schedules.
 
-The paper measures 1:1 producer/consumer links only; this module spawns
-the N:M shapes of :class:`~repro.workflow.spec.Topology` on the same
-substrates, sync modes, and invariant machinery:
+Every workflow shape is a set of producer→consumer *edges* over the same
+substrates, sync modes, and invariant machinery. The paper's 1:1 pairs
+(§IV-C) are K disjoint edges ``producer{p}→consumer{p}``; the N:M shapes
+of :class:`~repro.workflow.spec.Topology` are other edge sets:
 
 - **fan-out (1→M)** — one producer writes stream 0; every consumer reads
   every frame of it. With DYAD and split placement the consumers share a
@@ -16,17 +17,19 @@ substrates, sync modes, and invariant machinery:
   analytics step. Drain adds the *aggregation-completeness* invariant.
 - **pool (N→M work stealing)** — per-frame ``(stream, frame)`` tasks go
   into a shared frame-major :class:`TaskQueue`; M workers claim greedily,
-  so a slow worker sheds load to fast ones. Drain adds the pool-wide
-  exactly-once invariant (per-role bookkeeping cannot see two *different*
-  workers claiming the same task).
+  so a slow worker sheds load to fast ones. Each stream has one edge to
+  the pool as a whole. Drain adds the pool-wide exactly-once invariant
+  (per-role bookkeeping cannot see two *different* workers claiming the
+  same task).
 
-Streaming sync modes generalize per **edge**: each producer→consumer
-edge gets its own :class:`~repro.workflow.streaming.StreamChannel` with
-its own credit ledger — a fan-out producer must hold a credit on *every*
-consumer's channel before writing a frame (the slowest consumer applies
-backpressure), a fan-in producer only on its own reducer edge. The fault
-injector composes with the per-edge channels unchanged: holds key on
-each channel's ``producer_node``/``consumer_node``.
+:class:`TopologySetup` is the graph the runner spawns from: each
+process's node, the edges, one :class:`~repro.workflow.streaming.
+StreamChannel` per edge in the streaming modes (a fan-out producer must
+hold a credit on *every* consumer's channel before writing a frame — the
+slowest consumer applies backpressure — a fan-in producer only on its
+own reducer edge), and each consumer's read schedule. The fault injector
+composes with the per-edge channels unchanged: holds key on each
+channel's ``producer_node``/``consumer_node``.
 """
 
 from __future__ import annotations
@@ -34,27 +37,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple,
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
-from repro.errors import FileNotFound
-from repro.perf.caliper import Category
-from repro.sim.core import Environment
-from repro.sim.resources import Signal
-from repro.workflow import emulator
 from repro.workflow.spec import SyncMode, System, Topology, WorkflowSpec
-from repro.workflow.streaming import (
-    BACKPRESSURE_REGION,
-    STREAM_WAIT_REGION,
-    StreamChannel,
-    default_liveness_horizon,
-    stream_key,
-)
+from repro.workflow.streaming import StreamChannel, default_liveness_horizon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.invariants import InvariantChecker
 
-__all__ = ["TaskQueue", "TopologySetup", "spawn_topology"]
+__all__ = ["TaskQueue", "TopologySetup"]
+
+#: one consumer read-schedule step: the ``(stream, frame)`` tasks read,
+#: then the RNG stream key of the analytics sleep that follows them
+Group = Tuple[List[Tuple[int, int]], str]
 
 
 class TaskQueue:
@@ -88,471 +84,193 @@ class TaskQueue:
         return {role: len(tasks) for role, tasks in self.claimed.items()}
 
 
+def _claims(queue: TaskQueue, role: str) -> Iterator[Group]:
+    """A pool worker's schedule: one claimed task per step, claimed when
+    the worker is ready for it (so the steal order follows finish times)."""
+    step = 0
+    while True:
+        task = queue.claim(role)
+        if task is None:
+            return
+        yield [task], f"{role}.task{step}"
+        step += 1
+
+
 @dataclass
 class TopologySetup:
-    """Everything the runner needs back from :func:`spawn_topology`.
+    """The run's workflow graph, built by :meth:`build` for every shape.
 
-    Duck-compatible with the pairwise
-    :class:`~repro.workflow.streaming.StreamingSetup` where the runner
-    reads ``channels``/``broker``/``consumers``/``processes``.
+    Producer ``i`` has role ``producer{i}`` and writes stream ``i``;
+    consumer ``j`` has role ``consumer{j}``. The spawners in
+    :mod:`repro.workflow.runner` fill :attr:`processes` and
+    :attr:`consumers` as they start the process bodies.
     """
 
     spec: WorkflowSpec
-    #: ``(role, Process)`` pairs for stall diagnostics
-    processes: List = field(default_factory=list)
-    #: one :class:`StreamChannel` per producer→consumer edge (streaming
-    #: modes only; empty otherwise)
+    #: node id of each producer / consumer process
+    producer_nodes: List[str]
+    consumer_nodes: List[str]
+    #: ``(stream, consumer)`` per edge; consumer ``None`` is a pool edge
+    #: (the stream feeds the whole worker pool)
+    edges: List[Tuple[int, Optional[int]]]
+    #: one :class:`StreamChannel` per edge (streaming modes only; empty
+    #: otherwise)
     channels: List[StreamChannel] = field(default_factory=list)
     #: the POSIX pub/sub control-plane broker (``None`` otherwise)
     broker: Optional[object] = None
-    #: DYAD consumer clients (``[]`` for POSIX systems)
-    consumers: List = field(default_factory=list)
     #: the work-stealing queue (``POOL`` topology only)
     queue: Optional[TaskQueue] = None
+    #: ``(role, Process)`` pairs for stall diagnostics
+    processes: List = field(default_factory=list)
+    #: DYAD consumer clients (``[]`` for POSIX systems)
+    consumers: List = field(default_factory=list)
+    #: edge indices out of each producer / into each consumer
+    _outputs: List[List[int]] = field(init=False, repr=False)
+    _inputs: List[List[int]] = field(init=False, repr=False)
 
-    def check_complete(self, checker: "InvariantChecker") -> None:
-        """Run the topology-appropriate drain-completeness invariants."""
-        spec = self.spec
-        if spec.topology is Topology.FANOUT:
-            checker.check_complete_edges(
-                [(f"consumer{j}", 0) for j in range(spec.consumers)],
-                spec.frames,
-            )
+    def __post_init__(self) -> None:
+        self._outputs = [[] for _ in self.producer_nodes]
+        self._inputs = [[] for _ in self.consumer_nodes]
+        everyone = range(len(self.consumer_nodes))
+        for e, (s, j) in enumerate(self.edges):
+            self._outputs[s].append(e)
+            for c in (everyone if j is None else (j,)):
+                self._inputs[c].append(e)
+
+    @classmethod
+    def build(cls, spec: WorkflowSpec, cluster,
+              checker: Optional["InvariantChecker"] = None) -> "TopologySetup":
+        """The graph of ``spec`` on ``cluster``, one GPU claimed per process."""
+        env = cluster.env
+        ids = []
+        for side in (spec.producer_nodes(), spec.consumer_nodes()):
+            nodes = [cluster.node(n) for n in side]
+            for node in nodes:
+                node.claim_gpu()
+            ids.append([node.node_id for node in nodes])
+        if spec.topology is Topology.PAIRWISE:
+            edges = [(p, p) for p in range(spec.pairs)]
+        elif spec.topology is Topology.FANOUT:
+            edges = [(0, j) for j in range(spec.consumers)]
         elif spec.topology is Topology.FANIN:
-            checker.check_aggregation("consumer0", spec.streams, spec.frames)
+            edges = [(s, 0) for s in range(spec.streams)]
         else:  # POOL
+            edges = [(s, None) for s in range(spec.streams)]
+        graph = cls(spec, ids[0], ids[1], edges)
+        if spec.is_streaming:
+            horizon = checker.config.liveness_horizon if checker else None
+            if horizon is None:
+                horizon = default_liveness_horizon(spec)
+            graph.channels = [
+                StreamChannel(
+                    env, s, spec.effective_window,
+                    producer_role=f"producer{s}",
+                    consumer_role="pool" if j is None else f"consumer{j}",
+                    producer_node=graph.producer_nodes[s],
+                    consumer_node=graph.consumer_nodes[0 if j is None else j],
+                    checker=checker, liveness_horizon=horizon,
+                )
+                for s, j in edges
+            ]
+            if (spec.system is not System.DYAD
+                    and spec.sync_mode is SyncMode.PUBSUB):
+                from repro.kvs.store import KVS
+
+                graph.broker = KVS(env, cluster.fabric,
+                                   cluster.node(0).node_id, attach=False)
+        if spec.topology is Topology.POOL:
+            graph.queue = TaskQueue(spec.streams, spec.frames)
+        return graph
+
+    # -- per-process views -----------------------------------------------------
+    def producer_key(self, producer: int) -> str:
+        """RNG stream prefix of a producer's MD sleeps (``{key}.frame{k}``).
+
+        Streaming N:M producers draw from ``stream{s}``; every other
+        producer shares ``pair{s}`` with its pairwise consumer's analytics.
+        """
+        spec = self.spec
+        if spec.is_streaming and spec.topology is not Topology.PAIRWISE:
+            return f"stream{producer}"
+        return f"pair{producer}"
+
+    def in_streams(self, consumer: int) -> List[int]:
+        """Streams consumer ``consumer`` reads (a pool worker: all)."""
+        return [self.edges[e][0] for e in self._inputs[consumer]]
+
+    def out_channels(self, producer: int) -> List[StreamChannel]:
+        """The channels of a producer's out-edges (``[]`` unless streaming)."""
+        if not self.channels:
+            return []
+        return [self.channels[e] for e in self._outputs[producer]]
+
+    def in_channels(self, consumer: int) -> Dict[int, StreamChannel]:
+        """Stream → channel of a consumer's in-edges (``{}`` unless
+        streaming)."""
+        if not self.channels:
+            return {}
+        return {self.edges[e][0]: self.channels[e]
+                for e in self._inputs[consumer]}
+
+    def schedule(self, consumer: int) -> Iterable[Group]:
+        """Consumer ``consumer``'s reads: ``([(stream, frame)...], key)``
+        groups, one analytics sleep per group.
+
+        A pairwise consumer reads frame *k* of its pair under the pair's
+        ``pair{p}.frame{k}`` key; a fan-out consumer frame *k* of stream
+        0 and a fan-in reducer frame *k* of every stream, both under
+        ``consumer{j}.frame{k}``; a pool worker claims one task per step
+        (``consumer{j}.task{n}``).
+        """
+        spec = self.spec
+        role = f"consumer{consumer}"
+        if self.queue is not None:
+            return _claims(self.queue, role)
+        streams = self.in_streams(consumer)
+        prefix = (f"pair{consumer}" if spec.topology is Topology.PAIRWISE
+                  else role)
+        return (([(s, k) for s in streams], f"{prefix}.frame{k}")
+                for k in range(spec.frames))
+
+    # -- end-of-run checks -----------------------------------------------------
+    def check_complete(self, checker: "InvariantChecker") -> None:
+        """Run the shape-appropriate drain-completeness invariants."""
+        spec = self.spec
+        if spec.topology is Topology.FANIN:
+            checker.check_aggregation("consumer0", spec.streams, spec.frames)
+        elif spec.topology is Topology.POOL:
             checker.check_pool(
                 [f"consumer{j}" for j in range(spec.consumers)],
                 spec.streams, spec.frames,
             )
+        else:
+            edges = [(f"consumer{j}", s) for s, j in self.edges]
+            if spec.topology is Topology.PAIRWISE:
+                edges.sort()  # the role order checker.check_complete uses
+            checker.check_complete_edges(edges, spec.frames)
 
     def recovery_errors(self) -> List[str]:
-        """Per-consumer completion accounting after a faulted run.
-
-        Mirrors the pairwise runner's ``fast_hits + kvs_waits == frames``
-        recovery check, generalized per topology (only DYAD clients carry
-        these counters; POSIX runs return ``[]``).
+        """Per-consumer completion accounting: every DYAD consumer's
+        ``fast_hits + kvs_waits`` must equal the frame reads it was
+        scheduled (POSIX runs carry no such counters and return ``[]``).
         """
         if not self.consumers:
             return []
         spec = self.spec
-        errors: List[str] = []
         if spec.topology is Topology.POOL:
             got = sum(c.fast_hits + c.kvs_waits for c in self.consumers)
             want = spec.streams * spec.frames
             if got != want:
-                errors.append(
-                    f"the consumer pool completed {got} of {want} tasks "
-                    "despite finishing"
-                )
-            return errors
+                return [f"the consumer pool completed {got} of {want} tasks "
+                        "despite finishing"]
+            return []
+        errors: List[str] = []
         for j, consumer in enumerate(self.consumers):
             got = consumer.fast_hits + consumer.kvs_waits
-            want = (spec.frames if spec.topology is Topology.FANOUT
-                    else spec.streams * spec.frames)
+            want = spec.frames * len(self.in_streams(j))
             if got != want:
                 errors.append(
                     f"consumer{j} completed {got} of {want} frame reads "
                     "despite finishing"
                 )
         return errors
-
-
-# ---------------------------------------------------------------------------
-# per-system task closures
-# ---------------------------------------------------------------------------
-
-
-def _posix_read_task(env, spec, fs, node_id, ann, role, checker,
-                     root: str = "/data") -> Callable:
-    """``read_task(s, k)``: read one frame of one stream through ``fs``."""
-
-    def read_task(s: int, k: int) -> Generator:
-        path = emulator.frame_path(root, s, k)
-        ann.begin(emulator.READ_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(path, "r", client=node_id)
-        try:
-            count, _payload = yield from handle.read()
-        finally:
-            yield from handle.close()
-        ann.end(emulator.READ_REGION)
-        if checker is not None:
-            checker.frame_consumed(
-                role, s, k, spec.frame_bytes, count, fs.is_corrupt(path)
-            )
-        elif count != spec.frame_bytes:
-            raise AssertionError(
-                f"stream {s} frame {k}: read {count} bytes, "
-                f"expected {spec.frame_bytes}"
-            )
-
-    return read_task
-
-
-def _dyad_read_task(spec, client, ann, role, root, checker,
-                    subscribe: bool = False) -> Callable:
-    """``read_task(s, k)``: consume one frame through a DYAD client."""
-
-    def read_task(s: int, k: int) -> Generator:
-        yield from client.consume(
-            emulator.frame_path(root, s, k), annotator=ann,
-            subscribe=subscribe,
-        )
-        if checker is not None:
-            checker.frame_consumed(
-                role, s, k, spec.frame_bytes,
-                client.last_consume_bytes, client.last_consume_corrupt,
-            )
-
-    return read_task
-
-
-def _poll_wait_task(env, spec, fs, node_id, ann,
-                    root: str = "/data") -> Callable:
-    """``wait_task(s, k)``: Pegasus-style two-stable-stats polling."""
-
-    def wait_task(s: int, k: int) -> Generator:
-        path = emulator.frame_path(root, s, k)
-        ann.begin(emulator.POLL_REGION, Category.IDLE)
-        last_version = None
-        while True:
-            try:
-                st = yield from fs.stat(path, client=node_id)
-            except FileNotFound:
-                st = None
-            if st is not None and st.version == last_version:
-                break  # two consecutive identical observations: stable
-            last_version = st.version if st is not None else None
-            yield env.timeout(spec.poll_interval)
-        ann.end(emulator.POLL_REGION)
-
-    return wait_task
-
-
-def _barrier_wait_ready(ann, barriers) -> Callable:
-    """``wait_ready()``: park until every producer's coarse barrier fires."""
-
-    def wait_ready() -> Generator:
-        ann.begin(emulator.SYNC_REGION, Category.IDLE)
-        for barrier in barriers:
-            yield barrier.wait()
-        ann.end(emulator.SYNC_REGION)
-
-    return wait_ready
-
-
-# ---------------------------------------------------------------------------
-# process bodies
-# ---------------------------------------------------------------------------
-
-
-def _analytics(env, spec, ann, compute, key) -> Generator:
-    ann.begin("analytics_sleep", Category.COMPUTE)
-    yield env.timeout(compute.sample(key, spec.analytics_time))
-    ann.end("analytics_sleep")
-
-
-def _streaming_topology_producer(env, spec, s, channels, write_frame, ann,
-                                 compute) -> Generator:
-    """Streaming producer of stream ``s`` holding a credit per edge.
-
-    A fan-out producer owns M edges: it must acquire a credit on *every*
-    consumer's channel before writing frame ``k`` (the slowest consumer
-    applies the backpressure), then publishes on all of them. Fan-in and
-    pool producers own exactly one edge each.
-    """
-    for k in range(spec.frames):
-        ann.begin("md_sleep", Category.COMPUTE)
-        yield env.timeout(
-            compute.sample(f"stream{s}.frame{k}", spec.stride_time)
-        )
-        ann.end("md_sleep")
-        ann.begin(BACKPRESSURE_REGION, Category.IDLE)
-        for channel in channels:
-            yield from channel.acquire_credit(k)
-        ann.end(BACKPRESSURE_REGION)
-        yield from write_frame(k)
-        for channel in channels:
-            channel.publish(k)
-
-
-def _fanout_consumer(env, spec, j, ann, compute, wait_ready, wait_task,
-                     read_task, release) -> Generator:
-    """Fan-out consumer ``j``: read every frame of stream 0."""
-    if wait_ready is not None:
-        yield from wait_ready()
-    for k in range(spec.frames):
-        if wait_task is not None:
-            yield from wait_task(0, k)
-        yield from read_task(0, k)
-        if release is not None:
-            release(0, k)
-        yield from _analytics(env, spec, ann, compute,
-                              f"consumer{j}.frame{k}")
-
-
-def _fanin_consumer(env, spec, ann, compute, wait_ready, wait_task,
-                    read_task, release) -> Generator:
-    """Fan-in reducer: fold frame ``k`` of every stream, then one
-    analytics step (the reduce) per frame index."""
-    if wait_ready is not None:
-        yield from wait_ready()
-    for k in range(spec.frames):
-        for s in range(spec.streams):
-            if wait_task is not None:
-                yield from wait_task(s, k)
-            yield from read_task(s, k)
-            if release is not None:
-                release(s, k)
-        yield from _analytics(env, spec, ann, compute,
-                              f"consumer0.frame{k}")
-
-
-def _pool_consumer(env, spec, j, queue, ann, compute, wait_ready, wait_task,
-                   read_task, release) -> Generator:
-    """Pool worker ``j``: greedily claim and analyze queued tasks."""
-    if wait_ready is not None:
-        yield from wait_ready()
-    role = f"consumer{j}"
-    step = 0
-    while True:
-        task = queue.claim(role)
-        if task is None:
-            break
-        s, k = task
-        if wait_task is not None:
-            yield from wait_task(s, k)
-        yield from read_task(s, k)
-        if release is not None:
-            release(s, k)
-        yield from _analytics(env, spec, ann, compute,
-                              f"{role}.task{step}")
-        step += 1
-
-
-# ---------------------------------------------------------------------------
-# wiring
-# ---------------------------------------------------------------------------
-
-
-def _edge_channels(env, spec, checker, liveness_horizon, producer_node_ids,
-                   consumer_node_ids) -> Tuple[List[StreamChannel], Dict]:
-    """One :class:`StreamChannel` per producer→consumer edge.
-
-    Returns ``(channels, by_key)`` where the lookup key is the consumer
-    index for fan-out edges and the stream index otherwise (fan-in and
-    pool edges are per input stream; the pool's channels name the whole
-    worker pool as their consumer side).
-    """
-    window = spec.effective_window
-    channels: List[StreamChannel] = []
-    by_key: Dict[int, StreamChannel] = {}
-    if spec.topology is Topology.FANOUT:
-        for j in range(spec.consumers):
-            channel = StreamChannel(
-                env, 0, window,
-                producer_role="producer0",
-                consumer_role=f"consumer{j}",
-                producer_node=producer_node_ids[0],
-                consumer_node=consumer_node_ids[j],
-                checker=checker, liveness_horizon=liveness_horizon,
-            )
-            channels.append(channel)
-            by_key[j] = channel
-    else:
-        pool = spec.topology is Topology.POOL
-        for s in range(spec.streams):
-            channel = StreamChannel(
-                env, s, window,
-                producer_role=f"producer{s}",
-                consumer_role="pool" if pool else "consumer0",
-                producer_node=producer_node_ids[s],
-                consumer_node=consumer_node_ids[0],
-                checker=checker, liveness_horizon=liveness_horizon,
-            )
-            channels.append(channel)
-            by_key[s] = channel
-    return channels, by_key
-
-
-def spawn_topology(
-    env: Environment,
-    spec: WorkflowSpec,
-    cluster,
-    producer_anns,
-    consumer_anns,
-    compute,
-    checker: Optional["InvariantChecker"] = None,
-    runtime=None,
-    fs=None,
-    liveness_horizon: Optional[float] = None,
-) -> TopologySetup:
-    """Spawn a non-pairwise workflow for any system and sync mode.
-
-    Sync semantics mirror the pairwise paths:
-
-    - DYAD under ``coarse``/``polling`` uses its automatic KVS
-      synchronization (the spec normalizes both manual modes to COARSE);
-    - XFS/Lustre ``coarse`` parks every consumer until *all* producers
-      fired their phase barriers; ``polling`` stat-polls per task;
-    - the streaming modes run per-edge credit windows (see
-      :func:`_streaming_topology_producer`), with DYAD keeping KVS
-      discovery and POSIX ``pubsub`` using a node-0 broker.
-    """
-    if liveness_horizon is None:
-        liveness_horizon = default_liveness_horizon(spec)
-    setup = TopologySetup(spec=spec)
-    producer_node_ids = [cluster.node(n).node_id
-                         for n in spec.producer_nodes()]
-    consumer_node_ids = [cluster.node(n).node_id
-                         for n in spec.consumer_nodes()]
-    is_dyad = spec.system is System.DYAD
-    streaming = spec.is_streaming
-    root = runtime.config.managed_root if is_dyad else "/data"
-    subscribe = streaming and spec.sync_mode is SyncMode.PUBSUB
-
-    if not is_dyad:
-        for s in range(spec.streams):
-            fs.makedirs(f"/data/pair{s:04d}")
-
-    broker = None
-    if streaming and not is_dyad and spec.sync_mode is SyncMode.PUBSUB:
-        from repro.kvs.store import KVS
-
-        broker = KVS(env, cluster.fabric, cluster.node(0).node_id,
-                     attach=False)
-        setup.broker = broker
-
-    channels_by_key: Dict[int, StreamChannel] = {}
-    if streaming:
-        setup.channels, channels_by_key = _edge_channels(
-            env, spec, checker, liveness_horizon,
-            producer_node_ids, consumer_node_ids,
-        )
-
-    if spec.topology is Topology.POOL:
-        setup.queue = TaskQueue(spec.streams, spec.frames)
-
-    # -- producers -----------------------------------------------------------
-    barriers: List[Signal] = []
-    for s in range(spec.streams):
-        p_ann = producer_anns[s]
-        node_id = producer_node_ids[s]
-        if streaming:
-            if spec.topology is Topology.FANOUT:
-                edge_channels = list(setup.channels)
-            else:
-                edge_channels = [channels_by_key[s]]
-            if is_dyad:
-                producer = runtime.producer(node_id, f"prod{s}")
-
-                def write_frame(k, _client=producer, _ann=p_ann, _s=s):
-                    yield from _client.produce(
-                        emulator.frame_path(root, _s, k), spec.frame_bytes,
-                        annotator=_ann,
-                    )
-                    if checker is not None:
-                        checker.frame_committed(
-                            f"producer{_s}", _s, k, spec.frame_bytes,
-                            at=_client.last_commit_time,
-                        )
-            else:
-                from repro.workflow.streaming import _posix_write_frame
-
-                write_inner = _posix_write_frame(
-                    env, spec, fs, node_id, p_ann, s, checker
-                )
-                if broker is not None:
-                    def write_frame(k, _inner=write_inner, _node=node_id,
-                                    _s=s):
-                        yield from _inner(k)
-                        yield from broker.commit(
-                            _node, stream_key(_s, k), spec.frame_bytes
-                        )
-                else:
-                    write_frame = write_inner
-            setup.processes.append((f"producer{s}", env.process(
-                _streaming_topology_producer(
-                    env, spec, s, edge_channels, write_frame, p_ann, compute
-                )
-            )))
-        elif is_dyad:
-            producer = runtime.producer(node_id, f"prod{s}")
-            setup.processes.append((f"producer{s}", env.process(
-                emulator.dyad_producer(
-                    env, spec, producer, p_ann, s, compute, checker=checker
-                )
-            )))
-        else:
-            barrier = Signal(env)
-            barriers.append(barrier)
-            setup.processes.append((f"producer{s}", env.process(
-                emulator.posix_producer(
-                    env, spec, fs, node_id, barrier, p_ann, s,
-                    compute=compute, checker=checker,
-                )
-            )))
-
-    # -- consumers -----------------------------------------------------------
-    for j in range(spec.consumers):
-        c_ann = consumer_anns[j]
-        node_id = consumer_node_ids[j]
-        role = f"consumer{j}"
-        wait_ready = None
-        wait_task = None
-        release = None
-        if is_dyad:
-            client = runtime.consumer(node_id, f"cons{j}")
-            setup.consumers.append(client)
-            read_task = _dyad_read_task(
-                spec, client, c_ann, role, root, checker,
-                subscribe=subscribe,
-            )
-            # DYAD's KVS is the discovery plane; streaming only adds the
-            # per-edge credit window on top.
-        else:
-            read_task = _posix_read_task(
-                env, spec, fs, node_id, c_ann, role, checker
-            )
-            if streaming:
-                if broker is not None:
-                    def wait_task(s, k, _ann=c_ann, _node=node_id):
-                        _ann.begin(STREAM_WAIT_REGION, Category.IDLE)
-                        yield from broker.wait_for(_node, stream_key(s, k))
-                        _ann.end(STREAM_WAIT_REGION)
-                else:
-                    def wait_task(s, k, _ann=c_ann, _j=j):
-                        channel = (channels_by_key[_j]
-                                   if spec.topology is Topology.FANOUT
-                                   else channels_by_key[s])
-                        _ann.begin(STREAM_WAIT_REGION, Category.IDLE)
-                        yield from channel.wait_frame(k)
-                        _ann.end(STREAM_WAIT_REGION)
-            elif spec.sync_mode is SyncMode.POLLING:
-                wait_task = _poll_wait_task(env, spec, fs, node_id, c_ann)
-            else:
-                wait_ready = _barrier_wait_ready(c_ann, barriers)
-        if streaming:
-            def release(s, k, _j=j):
-                channel = (channels_by_key[_j]
-                           if spec.topology is Topology.FANOUT
-                           else channels_by_key[s])
-                channel.release_credit(k)
-
-        if spec.topology is Topology.FANOUT:
-            body = _fanout_consumer(
-                env, spec, j, c_ann, compute, wait_ready, wait_task,
-                read_task, release,
-            )
-        elif spec.topology is Topology.FANIN:
-            body = _fanin_consumer(
-                env, spec, c_ann, compute, wait_ready, wait_task,
-                read_task, release,
-            )
-        else:
-            body = _pool_consumer(
-                env, spec, j, setup.queue, c_ann, compute, wait_ready,
-                wait_task, read_task, release,
-            )
-        setup.processes.append((role, env.process(body)))
-    return setup

@@ -133,3 +133,19 @@ def test_compute_cv_override():
     jittered = run_workflow(spec, seed=3, jitter_cv=0.0, compute_cv=0.1)
     exact = run_workflow(spec, seed=3, jitter_cv=0.0, compute_cv=0.0)
     assert jittered.makespan != exact.makespan
+
+
+def test_fault_free_barrier_deadlock_names_the_stuck_consumer(monkeypatch):
+    # A coarse producer whose phase barrier never fires leaves its
+    # consumer parked when the heap drains: the one completion check
+    # every run gets must raise, not report a short makespan.
+    from repro.errors import StallError
+    from repro.sim.resources import Signal
+
+    monkeypatch.setattr(Signal, "fire_once", lambda self, value=None: None)
+    with pytest.raises(StallError) as exc:
+        run_workflow(small_spec(System.XFS))
+    msg = str(exc.value)
+    assert "fault-free run drained the heap" in msg
+    assert "consumer0" in msg
+    assert "producer0" not in msg

@@ -3,7 +3,9 @@
 Covers the validation/normalization rules of the four
 :class:`~repro.workflow.spec.Topology` shapes, node assignment under the
 8 procs/node cap, the pairwise ``placements()`` boundary past one full
-node, and the repr pins that keep cache keys and fingerprints stable:
+node (and the run graph's K disjoint pairwise edges on those
+placements), and the repr pins that keep cache keys and fingerprints
+stable:
 
 - pairwise specs render byte-identically to pre-topology specs;
 - DYAD's POLLING spelling normalizes to COARSE (one canonical automatic
@@ -12,6 +14,7 @@ node, and the repr pins that keep cache keys and fingerprints stable:
 
 import pytest
 
+from repro.cluster.corona import corona
 from repro.errors import WorkflowError
 from repro.workflow.spec import (
     PROCS_PER_NODE,
@@ -21,6 +24,7 @@ from repro.workflow.spec import (
     Topology,
     WorkflowSpec,
 )
+from repro.workflow.topology import TopologySetup
 
 
 def _spec(topology, system=System.DYAD, placement=Placement.SPLIT, **kwargs):
@@ -157,6 +161,16 @@ def test_pairwise_node_lists_match_placements():
     placements = spec.placements()
     assert spec.producer_nodes() == [pn for pn, _ in placements]
     assert spec.consumer_nodes() == [cn for _, cn in placements]
+    # The run's graph: K disjoint edges producer{p} -> consumer{p}, each
+    # on its pair's placement.
+    cluster = corona(nodes=spec.nodes_required)
+    graph = TopologySetup.build(spec, cluster)
+    assert graph.edges == [(p, p) for p in range(spec.pairs)]
+    ids = [node.node_id for node in cluster.nodes]
+    assert [(graph.producer_nodes[s], graph.consumer_nodes[j])
+            for s, j in graph.edges] == [
+        (ids[pn], ids[cn]) for pn, cn in placements
+    ]
 
 
 # ---------------------------------------------------------------------------
