@@ -201,8 +201,9 @@ def check_service(bench_path: pathlib.Path, baseline_path: pathlib.Path,
     if hit_ratio < floor:
         print(
             "perf-guard: the smoke workload's repeated cells are missing "
-            "the in-memory result index and falling through to segment "
-            "reads — check the LRU capacity and the store-hit fast path."
+            "the in-memory result index and falling through to "
+            "cache-directory reads — check the LRU capacity and the "
+            "store-hit fast path."
         )
         status = 1
 

@@ -19,9 +19,9 @@ CLI-free API: :func:`save_figure`, :func:`load_figure`,
 
 The CRC-framed wire format (:func:`encode_result` / :func:`decode_result`)
 is shared with the service layer: the exact bytes the cache publishes are
-what the server streams to clients and what the mmap payload segment
-stores, so a result is encoded once at store time and never re-serialized
-on the read path.
+what the service's result store holds in memory and streams to clients,
+so a result is encoded once at store time and never re-serialized on the
+read path.
 """
 
 from __future__ import annotations
@@ -250,8 +250,13 @@ def encode_result(result) -> bytes:
 
     The returned blob is self-validating (magic, length, CRC32) and is
     the unit of zero-copy delivery: stored verbatim on disk and in the
-    payload segment, streamed verbatim to clients.
+    service's result store, streamed verbatim to clients. Traced and
+    metered runs are never cached and raise :class:`ReproError`.
     """
+    if getattr(result, "tracer", None) is not None:
+        raise ReproError("refusing to cache a traced run")
+    if getattr(result, "metrics", None) is not None:
+        raise ReproError("refusing to cache a metered run")
     payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     header = _ENTRY_HEADER.pack(
         _ENTRY_MAGIC, len(payload), zlib.crc32(payload)
@@ -259,17 +264,21 @@ def encode_result(result) -> bytes:
     return header + payload
 
 
-def decode_result(blob: bytes):
-    """Validate framing and unpickle; raises :class:`ReproError` on damage."""
-    header = bytes(blob[: _ENTRY_HEADER.size])
-    if len(header) < _ENTRY_HEADER.size:
+def _framed_payload(blob):
+    """The pickle inside a framed blob; :class:`ReproError` on damage."""
+    if len(blob) < _ENTRY_HEADER.size:
         raise ReproError("cache entry truncated before header")
-    magic, length, crc = _ENTRY_HEADER.unpack(header)
-    payload = bytes(blob[_ENTRY_HEADER.size:])
+    magic, length, crc = _ENTRY_HEADER.unpack_from(blob)
+    payload = blob[_ENTRY_HEADER.size:]
     if (magic != _ENTRY_MAGIC or len(payload) != length
             or zlib.crc32(payload) != crc):
         raise ReproError("cache entry failed integrity check")
-    return pickle.loads(payload)
+    return payload
+
+
+def decode_result(blob: bytes):
+    """Validate framing and unpickle; raises :class:`ReproError` on damage."""
+    return pickle.loads(_framed_payload(blob))
 
 
 def default_cache_root() -> str:
@@ -355,10 +364,6 @@ class ResultCache:
         """On-disk location of one entry (sharded by key prefix)."""
         return os.path.join(self.root, key[:2], f"{key}.pkl")
 
-    def contains(self, key: str) -> bool:
-        """Whether an entry exists on disk (no validation; cheap probe)."""
-        return os.path.exists(self.path(key))
-
     # -- access ------------------------------------------------------------
     def load_bytes(self, key: str) -> Optional[bytes]:
         """Validated framed blob for ``key`` or ``None`` (counts hit/miss).
@@ -373,12 +378,7 @@ class ResultCache:
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
-            header = blob[: _ENTRY_HEADER.size]
-            magic, length, crc = _ENTRY_HEADER.unpack(header)
-            payload = blob[_ENTRY_HEADER.size:]
-            if (magic != _ENTRY_MAGIC or len(payload) != length
-                    or zlib.crc32(payload) != crc):
-                raise ReproError("cache entry failed integrity check")
+            _framed_payload(blob)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -420,10 +420,6 @@ class ResultCache:
         entry, and racing writers of the same key overwrite each other
         with byte-equivalent content.
         """
-        if getattr(result, "tracer", None) is not None:
-            raise ReproError("refusing to cache a traced run")
-        if getattr(result, "metrics", None) is not None:
-            raise ReproError("refusing to cache a metered run")
         self.store_bytes(key, encode_result(result))
         return self.path(key)
 

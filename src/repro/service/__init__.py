@@ -47,11 +47,7 @@ from repro.service.loadgen import (
 )
 from repro.service.server import ExperimentServer, ServerConfig
 from repro.service.shedding import SheddingPolicy
-from repro.service.store import (
-    PayloadSegment,
-    SharedResultStore,
-    StoredResult,
-)
+from repro.service.store import SharedResultStore, StoredResult
 
 __all__ = [
     "CircuitBreaker",
@@ -63,7 +59,6 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "Journal",
-    "PayloadSegment",
     "QUEUED",
     "RETRYABLE",
     "RUNNING",

@@ -62,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--compact-min-bytes", type=int, default=1 << 20,
                        help="boot-time journal compaction threshold")
     serve.add_argument("--lru-entries", type=int, default=512,
-                       help="result-store LRU index capacity")
+                       help="result-store LRU capacity in results; each "
+                            "entry holds one result's framed bytes, so "
+                            "size it by result size")
     serve.add_argument("--fuse-small-jobs", type=int, default=4,
                        help="fuse up to N small degradable jobs per "
                             "worker round trip (1 disables)")
@@ -281,7 +283,7 @@ async def _orchestrate(args: argparse.Namespace, chaos: bool) -> Dict[str, Any]:
             )
             sustained.pop("fingerprints", None)  # phase 1's is canonical
         # zero-copy delivery phase: stream stored results straight from
-        # the server's mmap segment
+        # the server's result-store LRU
         delivery = None
         if args.delivery_fetches > 0:
             keys = sorted(report.get("fingerprints", {}))

@@ -162,8 +162,8 @@ class ServiceClient:
         """Fetch a stored result over the zero-copy delivery path.
 
         The server answers with a JSON header line followed by the raw
-        CRC-framed result bytes streamed straight from its payload
-        segment; this decodes them client-side. Returns ``(header,
+        CRC-framed result bytes streamed straight from its result
+        store's LRU; this decodes them client-side. Returns ``(header,
         result)`` — ``result`` is ``None`` when the header is an error.
         """
         if self._writer is None or self._writer.is_closing():

@@ -197,10 +197,9 @@ async def run_delivery(
 ) -> Dict[str, Any]:
     """Hammer the zero-copy ``result`` op; returns delivered fetches/s.
 
-    Every fetch resolves a key through the server's LRU index and
-    streams the framed bytes straight from the mmap segment — this
-    phase measures the delivery path alone, with no job execution or
-    admission in the way.
+    Every fetch resolves a key through the server's result-store LRU
+    and streams the framed bytes it holds — this phase measures the
+    delivery path alone, with no job execution or admission in the way.
     """
     if not keys:
         return {"clients": clients, "fetches": 0, "delivered": 0,

@@ -10,12 +10,11 @@ API. One JSON object per line in each direction over a unix socket:
   immediately with the assigned ``job_id``. Rejections carry ``error``
   (``queue_full`` / ``budget_exceeded`` / ``circuit_open`` /
   ``draining``) and a ``retry_after`` hint in seconds.
-- ``{"op": "status", "job_id": ...}`` — one job's record; completed
-  jobs additionally carry a ``result_handle`` (payload-segment offset +
-  length), so repeated polls stay O(1) no matter how large the result.
+- ``{"op": "status", "job_id": ...}`` — one job's record (completed
+  jobs carry the result's content ``key``).
 - ``{"op": "result", "key": ...}`` — the stored result itself: a JSON
   header line followed by the raw CRC-framed bytes, streamed straight
-  from the store's mmap segment without re-encoding.
+  from the result store's LRU without re-encoding.
 - ``{"op": "stats"}`` — server-wide counters.
 - ``{"op": "drain"}`` — stop admitting, finish in-flight work, reply.
 - ``{"op": "ping"}`` — liveness.
@@ -34,9 +33,10 @@ batched/staged paths amortize them) to the serving layer itself:
   per-job ``fsync``; the barrier contract (no ack before durable) is
   kept by awaiting the window's commit future.
 - **zero-copy result delivery** — results resolve through the store's
-  in-memory LRU index and stream from an mmap payload segment
-  (:class:`~repro.service.store.SharedResultStore`); the serving path
-  never re-reads, re-decodes, or re-encodes a stored result.
+  in-memory LRU, which holds each result's framed bytes
+  (:class:`~repro.service.store.SharedResultStore`); on a hit the
+  serving path never re-reads, re-decodes, or re-encodes a stored
+  result.
 - **batched admission and dispatch** — every submit that arrives in one
   event-loop tick is admitted with a single
   :meth:`~repro.service.admission.FairQueue.submit_batch` (one heap
@@ -159,7 +159,8 @@ class ServerConfig:
     #: boot-time journal compaction triggers at this size (bytes);
     #: small journals replay faster than they compact
     compact_min_bytes: int = 1 << 20
-    #: result-store LRU index capacity (keys resolved without disk I/O)
+    #: result-store LRU capacity in results; each entry holds one
+    #: result's framed bytes, so memory grows with result size
     lru_entries: int = 512
     #: fuse up to this many small degradable jobs into one worker round
     #: trip (1 disables fusion)
@@ -315,7 +316,6 @@ class ExperimentServer:
         if self.config.metrics_path:
             self.timeline.write_json(self.config.metrics_path)
         self.journal.close()
-        self.store.close()
         try:
             os.unlink(self.config.socket_path)
         except OSError:
@@ -449,8 +449,8 @@ class ExperimentServer:
                                 "detail": str(exc)}
                 writer.write(json.dumps(response).encode() + b"\n")
                 if payload is not None:
-                    # raw framed result bytes straight from the mmap —
-                    # no re-encode, no copy on our side
+                    # raw framed result bytes straight from the store's
+                    # LRU — no re-encode, no copy on our side
                     writer.write(payload)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.LimitOverrunError):
@@ -478,14 +478,7 @@ class ExperimentServer:
             record = self.records.get(request.get("job_id", ""))
             if record is None:
                 return {"ok": False, "error": "unknown_job"}
-            response = {"ok": True, **record.to_dict()}
-            if record.state == DONE and record.key:
-                handle = self.store.handle(record.key)
-                if handle is not None:
-                    # O(1) poll: enough to fetch the payload without the
-                    # server touching disk or the store index again
-                    response["result_handle"] = handle
-            return response
+            return {"ok": True, **record.to_dict()}
         if op == "result":
             return self._result(request)
         if op == "stats":

@@ -246,7 +246,7 @@ class TopologySetup:
         else:
             edges = [(f"consumer{j}", s) for s, j in self.edges]
             if spec.topology is Topology.PAIRWISE:
-                edges.sort()  # the role order checker.check_complete uses
+                edges.sort()  # report pairwise gaps in sorted-role order
             checker.check_complete_edges(edges, spec.frames)
 
     def recovery_errors(self) -> List[str]:

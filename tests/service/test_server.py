@@ -405,19 +405,6 @@ def test_result_op_unknown_key_and_job(tmp_path):
     run(_config(tmp_path), body)
 
 
-def test_status_carries_result_handle_when_done(tmp_path):
-    async def body(server, client):
-        submit = await client.submit(_job(seed=12))
-        status = await client.status(submit["job_id"])
-        handle = status["result_handle"]
-        assert handle["length"] > 0 and handle["offset"] >= 0
-        # the handle addresses exactly the bytes the result op streams
-        header, _ = await client.fetch_result(key=submit["key"])
-        assert header["length"] == handle["length"]
-
-    run(_config(tmp_path), body)
-
-
 def test_small_jobs_fuse_into_multi_job_dispatches(tmp_path):
     # stall the runners until every submission is queued, then release:
     # the claim loop must fuse the backlog into multi-job worker tasks

@@ -2,6 +2,10 @@
 
 from types import SimpleNamespace
 
+import pytest
+
+from repro.errors import ReproError
+from repro.experiments.persist import encode_result
 from repro.service.jobs import JobSpec
 from repro.service.store import SharedResultStore
 
@@ -29,16 +33,16 @@ def test_key_depends_on_effective_fidelity(tmp_path):
 def test_per_tenant_counters_and_cross_tenant_dedup(tmp_path):
     store = SharedResultStore(str(tmp_path))
     key = store.key_for(_spec())
-    assert store.load(key, "alice") is None
+    assert store.fetch(key, "alice") is None
     assert store.misses["alice"] == 1
 
     store.store(key, {"makespan": 1.0}, "alice")
-    assert store.load(key, "alice") == {"makespan": 1.0}
+    assert store.fetch(key, "alice").result() == {"makespan": 1.0}
     assert store.cross_tenant_dedup == 0
 
     # bob hitting alice's entry is the cross-tenant dedup the service
     # advertises
-    assert store.load(key, "bob") == {"makespan": 1.0}
+    assert store.fetch(key, "bob").result() == {"makespan": 1.0}
     assert store.cross_tenant_dedup == 1
     assert store.hits == {"alice": 1, "bob": 1}
 
@@ -68,17 +72,6 @@ def test_fetch_resolves_metadata_and_zero_copy_payload(tmp_path):
     assert stored.result() == SimpleNamespace(makespan=2.5)
 
 
-def test_handle_is_an_index_only_lookup(tmp_path):
-    store = SharedResultStore(str(tmp_path))
-    key = store.key_for(_spec())
-    assert store.handle(key) is None
-    store.store(key, SimpleNamespace(makespan=1.0), "alice")
-    handle = store.handle(key)
-    assert handle["segment"] == store.segment.path
-    view = store.segment.view(handle["offset"], handle["length"])
-    assert len(view) == handle["length"]
-
-
 def test_lru_eviction_falls_back_to_cache_directory(tmp_path):
     store = SharedResultStore(str(tmp_path), lru_entries=2)
     keys = []
@@ -86,14 +79,14 @@ def test_lru_eviction_falls_back_to_cache_directory(tmp_path):
         key = store.key_for(_spec(seed=seed))
         store.store(key, SimpleNamespace(makespan=float(seed)), "alice")
         keys.append(key)
-    # capacity 2: the first key was evicted from the in-memory index
-    assert store.handle(keys[0]) is None
-    assert store.handle(keys[2]) is not None
-    before = store.lru_misses
+    # capacity 2: the first key was evicted from the in-memory LRU...
+    assert store.fetch(keys[2], "alice").makespan == 2.0
+    assert store.lru_misses == 0
     # ...but the cache directory still serves it (and re-warms the LRU)
     assert store.fetch(keys[0], "alice").makespan == 0.0
-    assert store.lru_misses == before + 1
-    assert store.handle(keys[0]) is not None
+    assert store.lru_misses == 1
+    assert store.fetch(keys[0], "alice").makespan == 0.0
+    assert store.lru_misses == 1
 
 
 def test_lru_hit_counters_feed_the_perf_gate(tmp_path):
@@ -105,31 +98,49 @@ def test_lru_hit_counters_feed_the_perf_gate(tmp_path):
     stats = store.stats()
     assert stats["lru_hits"] >= 5
     assert stats["lru_misses"] == 0
-    assert stats["segment"]["records"] == 1
 
 
-def test_segment_rebuilds_index_across_restart(tmp_path):
+@pytest.mark.parametrize("attr", ["tracer", "metrics"])
+def test_store_refuses_traced_and_metered_results(tmp_path, attr):
+    store = SharedResultStore(str(tmp_path))
+    key = store.key_for(_spec())
+    result = SimpleNamespace(makespan=1.0, **{attr: object()})
+    with pytest.raises(ReproError, match="refusing to cache"):
+        store.store(key, result, "alice")
+    assert store.fetch(key, "alice") is None
+    assert len(store.cache) == 0
+
+
+def test_restarted_store_serves_from_the_cache_directory(tmp_path):
     store = SharedResultStore(str(tmp_path))
     key = store.key_for(_spec())
     store.store(key, SimpleNamespace(makespan=3.0), "alice")
-    store.close()
-    # a fresh store over the same root re-scans the segment: the handle
-    # is servable again without touching the cache directory
+    # a fresh store over the same root starts with an empty LRU and
+    # reads the entry back from the sharded cache directory
     reopened = SharedResultStore(str(tmp_path))
-    assert reopened.handle(key) is not None
-    assert reopened.fetch(key, "bob").makespan == 3.0
-    reopened.close()
+    stored = reopened.fetch(key, "bob")
+    assert stored.makespan == 3.0
+    assert reopened.lru_misses == 1
+    assert bytes(stored.payload()) == encode_result(
+        SimpleNamespace(makespan=3.0))
 
 
-def test_torn_segment_tail_is_truncated_not_fatal(tmp_path):
-    store = SharedResultStore(str(tmp_path))
-    key = store.key_for(_spec())
-    store.store(key, SimpleNamespace(makespan=1.0), "alice")
-    store.close()
-    seg_path = store.segment.path
-    with open(seg_path, "ab") as fh:
-        fh.write(b"RPSG" + b"\x00" * 10)  # crash mid-append
-    reopened = SharedResultStore(str(tmp_path))
-    assert reopened.fetch(key, "alice").makespan == 1.0
-    assert reopened.segment.stats()["records"] == 0  # nothing re-appended
-    reopened.close()
+def _tree(root):
+    return {path: path.stat().st_size
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_fetches_past_the_lru_write_nothing_to_disk(tmp_path):
+    store = SharedResultStore(str(tmp_path), lru_entries=2)
+    keys = []
+    for seed in range(3):
+        key = store.key_for(_spec(seed=seed))
+        store.store(key, SimpleNamespace(makespan=float(seed)), "alice")
+        keys.append(key)
+    before = _tree(tmp_path)
+    # round-robin over 3 keys with room for 2: every fetch misses the
+    # LRU and reads the cache directory, and no read writes anything
+    for i in range(30):
+        assert store.fetch(keys[i % 3], "alice").makespan == float(i % 3)
+    assert store.lru_misses == 30
+    assert _tree(tmp_path) == before
