@@ -13,6 +13,7 @@ from typing import Dict, Generator, Optional
 
 from repro.errors import KeyNotFound
 from repro.kvs.store import KVS
+from repro.sim.rng import _stable_hash
 from repro.storage.posixfs import normalize
 
 __all__ = ["OwnerRecord", "MetadataManager"]
@@ -25,14 +26,6 @@ class OwnerRecord:
     path: str
     owner: str   # node id of the producing node
     size: int    # bytes
-
-
-def _key_hash(path: str) -> int:
-    """Stable 32-bit FNV-1a hash of a managed path."""
-    acc = 2166136261
-    for byte in path.encode("utf-8"):
-        acc = ((acc ^ byte) * 16777619) & 0xFFFFFFFF
-    return acc
 
 
 class MetadataManager:
@@ -48,7 +41,7 @@ class MetadataManager:
         """KVS key for a managed path."""
         key = self._keys.get(path)
         if key is None:
-            key = f"{self.namespace}/{_key_hash(normalize(path)):08x}"
+            key = f"{self.namespace}/{_stable_hash(normalize(path)):08x}"
             self._keys[path] = key
         return key
 

@@ -51,6 +51,7 @@ import asyncio
 import json
 import os
 import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -107,6 +108,25 @@ def _warm_worker() -> int:
     except Exception:
         pass
     return os.getpid()
+
+
+def _watch_server(lifeline) -> None:
+    """Pool initializer: end this worker once its server is gone.
+
+    ``lifeline`` is the read end of a pipe whose write end only the
+    server holds, so it turns readable (EOF) exactly when the server
+    exits. Without this, a server killed before it shut its pool down
+    leaves the pool's workers blocked on a call queue they hold both
+    ends of; and since every forkserver child holds the daemon's "alive"
+    fd, the ``multiprocessing.forkserver`` daemon outlives the server
+    with them.
+    """
+    def watch() -> None:
+        lifeline.poll(None)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="server-lifeline",
+                     daemon=True).start()
 
 
 def _worker_context():
@@ -230,6 +250,8 @@ class ExperimentServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool = None
         self._pool_generation = 0
+        #: (read, write) ends of the workers' lifeline (_watch_server)
+        self._lifeline = None
         self._prewarm_tasks: List[asyncio.Future] = []
         #: submissions staged for the current event-loop tick's batch
         self._staged: List[Tuple[JobRecord, asyncio.Future]] = []
@@ -927,9 +949,13 @@ class ExperimentServer:
                     thread_name_prefix="repro-service",
                 )
             else:
+                ctx = _worker_context()
+                if self._lifeline is None:
+                    self._lifeline = ctx.Pipe(duplex=False)
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    mp_context=_worker_context(),
+                    max_workers=self.config.workers, mp_context=ctx,
+                    initializer=_watch_server,
+                    initargs=(self._lifeline[0],),
                 )
         return self._pool
 
@@ -967,6 +993,11 @@ class ExperimentServer:
         self._pool = None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+        if self._lifeline is not None:
+            # ends workers of recycled pools still stuck in a task
+            for end in self._lifeline:
+                end.close()
+            self._lifeline = None
 
     # -- reporting ---------------------------------------------------------
     def _retry_after(self, depth: int) -> float:

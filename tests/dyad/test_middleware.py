@@ -50,6 +50,8 @@ def test_mdm_key_stable_and_namespaced(runtime):
     assert mdm.key("/dyad/a") == mdm.key("dyad/a")
     assert mdm.key("/dyad/a").startswith("dyad/")
     assert mdm.key("/dyad/a") != mdm.key("/dyad/b")
+    # FNV-1a of the normalised path: a KVS key must never change
+    assert mdm.key("dyad/pair0000/frame00000.mdfr") == "dyad/d611a6d4"
 
 
 def test_mdm_publish_fetch_roundtrip(runtime):

@@ -1,8 +1,9 @@
 """Memoised hot paths against the straightforward code they replace.
 
-``normalize``, ``RngStreams.jitter`` and ``Annotator.begin``/``end`` take
-shortcuts (a canonical-path fast path, memoised lognormal parameters and
-bound draw methods, a path→node dict). Each reference below is the plain
+``normalize``, ``RngStreams.stream``/``jitter`` and ``Annotator.begin``/
+``end`` take shortcuts (a canonical-path fast path, a closed-form
+SeedSequence derivation, memoised lognormal parameters and bound draw
+methods, a path→node dict). Each reference below is the plain
 formulation kept in the test; the memoised code must agree with it bit
 for bit, or recorded fingerprints would drift.
 """
@@ -18,7 +19,7 @@ from repro.errors import PerfError, StorageError
 from repro.perf.caliper import Annotator, Category
 from repro.perf.calltree import CallTree
 from repro.perf.trace import Tracer
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, _stable_hash
 from repro.storage.posixfs import normalize
 
 
@@ -58,6 +59,74 @@ def test_normalize_equals_normpath(path):
 def test_normalize_rejects_empty():
     with pytest.raises(StorageError):
         normalize("")
+
+
+# -- RngStreams.stream seeding ----------------------------------------------------
+
+def reference_generator(seed: int, name: str) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(_stable_hash(name),)))
+
+
+def _first_draws(gen: np.random.Generator) -> list:
+    return [gen.random().hex(), gen.lognormal(-0.2, 0.4).hex(),
+            int(gen.integers(0, 2**62)), gen.random(3).tolist()]
+
+
+#: 0 and 1; the largest 31-bit seed ``_mix`` hands out; two entropy
+#: words; five words, more than the four-word pool, so the fifth is mixed
+#: in after the cross-mix
+EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 + 5, 2**130 + 7]
+seeds = st.one_of(st.sampled_from(EDGE_SEEDS),
+                  st.integers(min_value=0, max_value=2**160))
+spawn_words = st.one_of(st.sampled_from([0, 2**32 - 1]),
+                        st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(seeds, spawn_words)
+@settings(max_examples=300, deadline=None)
+def test_seed_words_equal_seedsequence(seed, spawn):
+    expected = np.random.SeedSequence(
+        entropy=seed, spawn_key=(spawn,)).generate_state(4, np.uint64)
+    words = RngStreams(seed)._seed_words(spawn)
+    assert words.dtype == np.uint64
+    assert words.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("spawn", [0, 2**32 - 1])
+def test_seed_words_equal_seedsequence_at_edges(seed, spawn):
+    expected = np.random.SeedSequence(
+        entropy=seed, spawn_key=(spawn,)).generate_state(4, np.uint64)
+    assert RngStreams(seed)._seed_words(spawn).tolist() == expected.tolist()
+
+
+@given(seeds, st.one_of(st.sampled_from(["pair0.frame3", "ssd.wlat", "",
+                                         "consumer7.task12", "durée",
+                                         "帧.frame0", "\U0001f9ea"]),
+                        st.text(max_size=24)))
+@example(seed=7, name="pair1.frame0")
+@settings(max_examples=200, deadline=None)
+def test_stream_draws_equal_reference_generator(seed, name):
+    assert (_first_draws(RngStreams(seed).stream(name))
+            == _first_draws(reference_generator(seed, name)))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=100, deadline=None)
+def test_spawned_children_equal_reference_generator(seed, index):
+    child = RngStreams(seed).spawn(index)
+    assert (_first_draws(child.stream("pair0.frame1"))
+            == _first_draws(reference_generator(child.seed, "pair0.frame1")))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_negative_seed_rejected_like_seedsequence(seed):
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence(seed)
+    with pytest.raises(ValueError, match="non-negative"):
+        RngStreams(seed)
 
 
 # -- RngStreams.jitter ------------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 import os
 import signal
 import subprocess
+import sys
 import time
 
 import pytest
@@ -131,3 +132,69 @@ def test_restarted_server_resumes_from_journal(tmp_path):
         asyncio.run(drive())
     finally:
         _stop(proc)
+
+
+def _children(pid):
+    """Live child pids of ``pid`` (zombies count as gone)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _forkserver_of(pid):
+    for child in _children(pid):
+        try:
+            with open(f"/proc/{child}/cmdline", "rb") as fh:
+                if b"multiprocessing.forkserver" in fh.read():
+                    return child
+        except OSError:
+            pass
+    return None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process table from /proc")
+def test_sigkilled_server_leaves_no_forkserver_behind(tmp_path):
+    # the pool's forkserver daemon and its prewarmed workers must end
+    # with the server that started them, even one that is SIGKILLed
+    proc, *_ = _spawn(tmp_path, "orphans")
+    daemon, workers = None, []
+    try:
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline and len(workers) < 2:
+            daemon = daemon or _forkserver_of(proc.pid)
+            workers = _children(daemon) if daemon else []
+            time.sleep(0.05)
+        assert len(workers) == 2, "the server never prewarmed its workers"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        left = [daemon] + workers
+        while left and time.monotonic() < deadline:
+            left = [pid for pid in left if _alive(pid)]
+            time.sleep(0.05)
+        assert left == [], f"processes outlived their server: {left}"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in [daemon] + workers:
+            if pid and _alive(pid):
+                os.kill(pid, signal.SIGKILL)

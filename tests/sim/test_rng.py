@@ -93,6 +93,8 @@ def test_stable_hash_is_stable():
     # FNV-1a of "ssd" must never change across versions/platforms
     assert _stable_hash("ssd") == _stable_hash("ssd")
     assert _stable_hash("ssd") != _stable_hash("sse")
+    assert _stable_hash("") == 0x811C9DC5  # the FNV-1a offset basis
+    assert _stable_hash("ssd") == 0xBA3EF905
 
 
 def test_mix_distributes():
